@@ -243,6 +243,9 @@ type Learner struct {
 	// because promotion (BecomePrimary) attaches a log to a running
 	// follower while Stats/handlers read it concurrently.
 	walLog atomic.Pointer[wal.Log]
+	// logFault is the first marker append or commit the log failed; see
+	// noteLogFault.
+	logFault atomic.Pointer[error]
 	// epoch is the writer epoch the learner has observed (wal.RecEpoch,
 	// snapshot restore, or promotion); 0 reads as 1 — the pre-cluster
 	// implicit epoch.
@@ -618,6 +621,9 @@ func (l *Learner) ingestOne(user, object int, label float64) (uint64, time.Durat
 	// state. Only the *buffered* append happens under the lock; the fsync
 	// wait is outside it, so concurrent ingests stack their records into one
 	// group commit instead of serialising on the disk.
+	if err := l.logFaultErr(); err != nil {
+		return 0, 0, err
+	}
 	rec := wal.Record{Type: wal.RecEvent, User: user, Object: object, Label: label, TS: time.Now().UnixMilli()}
 	l.mu.Lock()
 	appendStart := time.Now()
@@ -632,7 +638,9 @@ func (l *Learner) ingestOne(user, object int, label float64) (uint64, time.Durat
 	l.enqueueLocked(inst, pos.Seq, rec.TS, true)
 	l.mu.Unlock()
 	l.ingested.Add(1)
-	return pos.Seq, appendDur, nil
+	// The event is logged and applied, but if the eviction it caused could
+	// not be logged the caller must treat it as unacknowledged.
+	return pos.Seq, appendDur, l.logFaultErr()
 }
 
 // waitCommitted blocks until seq is durable under the log's policy; a no-op
@@ -692,11 +700,10 @@ func (l *Learner) enqueueLocked(inst feature.Instance, seq uint64, ts int64, all
 			// The marker names the exact evicted range: a concurrently
 			// in-flight training batch's events are older than From and no
 			// longer queued here, but their Step marker lands after this
-			// record — replay must not evict them on its behalf. Best-effort
-			// append: a lost Drop marker only matters if MaxPending changes
-			// before the next recovery; the sticky log error will surface on
-			// the next event append regardless.
-			_, _ = wlog.AppendRecord(wal.Record{Type: wal.RecDrop, From: from, Through: through})
+			// record — replay must not evict them on its behalf.
+			if _, err := wlog.AppendRecord(wal.Record{Type: wal.RecDrop, From: from, Through: through}); err != nil {
+				l.noteLogFault(fmt.Errorf("online: wal drop marker: %w", err))
+			}
 		}
 	}
 	l.compactLocked()
@@ -919,8 +926,27 @@ func (l *Learner) removeRange(from, through uint64) int {
 // returns the number of events trained on and the mean loss of the last
 // minibatch. Safe to call concurrently with traffic and with the background
 // loop.
+//
+// With a WAL, Sync does not return before its own publish marker is durable
+// under the log's policy (SyncNone promises nothing, so nothing is waited
+// for). Replication ships durable records only, so "Sync returned" implies
+// "a follower that catches up now reaches this generation"; Replica.CatchUp
+// keeps comparing against the primary's durable watermark. The wait happens
+// after the training lock is released. A marker that cannot be appended or
+// committed is a log fault (see logFault): it fails every later Ingest and
+// Checkpoint.
 func (l *Learner) Sync() (events int, loss float64) {
 	l.live.Store(true)
+	events, loss, marker := l.syncRound()
+	if err := l.waitCommitted(marker); err != nil {
+		l.noteLogFault(err)
+	}
+	return events, loss
+}
+
+// syncRound is Sync under the training lock; marker is the sequence number
+// of the publish record it appended (0: none).
+func (l *Learner) syncRound() (events int, loss float64, marker uint64) {
 	l.trainMu.Lock()
 	defer l.trainMu.Unlock()
 	l.mu.Lock()
@@ -948,10 +974,30 @@ func (l *Learner) Sync() (events int, loss float64) {
 			// weights under the same generation id, and a recovery replay
 			// restore the pre-crash generation numbering. Its stamps let a
 			// follower report the identical servable freshness.
-			_, _ = wlog.AppendRecord(wal.Record{Type: wal.RecPublish, Gen: gen, TS: pubTS, EventTS: dataThrough})
+			pos, err := wlog.AppendRecord(wal.Record{Type: wal.RecPublish, Gen: gen, TS: pubTS, EventTS: dataThrough})
+			if err != nil {
+				l.noteLogFault(fmt.Errorf("online: wal publish marker: %w", err))
+			}
+			marker = pos.Seq
 		}
 	}
-	return events, loss
+	return events, loss, marker
+}
+
+// noteLogFault records the first marker the log refused (or failed to
+// commit). From then on the log no longer reproduces this learner — replay
+// and followers would miss a publish or a drop — so Ingest and Checkpoint
+// return the fault instead of acknowledging work the log cannot back.
+func (l *Learner) noteLogFault(err error) {
+	l.logFault.CompareAndSwap(nil, &err)
+}
+
+// logFaultErr returns the recorded log fault, if any.
+func (l *Learner) logFaultErr() error {
+	if p := l.logFault.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // stepBatch fine-tunes the shadow on one drained batch and logs its step
@@ -1120,6 +1166,9 @@ func (l *Learner) checkpointPosLocked() (*wal.Pos, error) {
 	wlog := l.wlog()
 	if wlog == nil {
 		return nil, nil
+	}
+	if err := l.logFaultErr(); err != nil {
+		return nil, err
 	}
 	if err := wlog.Sync(); err != nil {
 		return nil, fmt.Errorf("online: checkpoint wal sync: %w", err)

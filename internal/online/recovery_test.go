@@ -560,3 +560,40 @@ func TestIngestBatchMatchesSequentialIngest(t *testing.T) {
 		t.Fatalf("failed batch left side effects: %+v vs %+v", got, st)
 	}
 }
+
+// TestLostMarkerIsALogFault: a publish (or drop) marker the log refuses is not
+// discarded. The log can no longer reproduce the learner, so the learner
+// stops acknowledging: Ingest and Checkpoint return the fault, naming the
+// marker that was lost. Sync itself must not hang on the dead log.
+func TestLostMarkerIsALogFault(t *testing.T) {
+	ds := testDataset(t)
+	log, err := wal.Open(filepath.Join(t.TempDir(), "wal"), walOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := serve.NewEngine(testModel(t, ds, 1).Clone(), serve.Config{Workers: 1})
+	defer eng.Close()
+	l, err := NewLearner(testModel(t, ds, 1), ds, eng, Config{
+		Train: train.Config{Seed: 1, Workers: 1, LR: 0.01, Negatives: 1}, Log: log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Ingest(1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := l.Sync(); n != 1 { // trains and publishes; the marker append fails
+		t.Fatalf("Sync trained %d events, want 1", n)
+	}
+	for what, err := range map[string]error{
+		"Ingest":     l.Ingest(1, 3, 1),
+		"Checkpoint": l.Checkpoint(&bytes.Buffer{}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "publish marker") {
+			t.Errorf("%s after a lost publish marker: %v, want the log fault", what, err)
+		}
+	}
+}

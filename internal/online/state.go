@@ -287,7 +287,9 @@ func (l *Learner) BecomePrimary(log *wal.Log, epoch uint64) error {
 		pubTS := time.Now().UnixMilli()
 		dataThrough := l.trainedThroughTS.Load()
 		l.notePublished(gen, pubTS, dataThrough)
-		_, _ = log.AppendRecord(wal.Record{Type: wal.RecPublish, Gen: gen, TS: pubTS, EventTS: dataThrough})
+		if _, err := log.AppendRecord(wal.Record{Type: wal.RecPublish, Gen: gen, TS: pubTS, EventTS: dataThrough}); err != nil {
+			return fmt.Errorf("online: promotion publish marker: %w", err)
+		}
 	}
 	l.live.Store(true)
 	return nil

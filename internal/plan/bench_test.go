@@ -8,6 +8,7 @@ import (
 	"seqfm/internal/core"
 	"seqfm/internal/feature"
 	"seqfm/internal/plan"
+	"seqfm/internal/tensor"
 )
 
 // benchModel is the paper's default configuration {d=64, l=1, n.=20} on the
@@ -77,3 +78,70 @@ func BenchmarkExecForwardBackward(b *testing.B) {
 		e.Backward(ds, shard)
 	}
 }
+
+// The benchmarks below time the two kernels a serving request is made of, on
+// a live plan (every projection multiplied out per call) and on a frozen one
+// (projected rows read from the generation's tables), and fail if the warm
+// path allocates anything beyond the value it returns.
+
+// assertAllocs fails the benchmark when f allocates more than want objects.
+func assertAllocs(b *testing.B, what string, want float64, f func()) {
+	b.Helper()
+	if got := testing.AllocsPerRun(20, f); got > want {
+		b.Fatalf("%s allocates %.0f objects/op on the warm path, want %.0f", what, got, want)
+	}
+}
+
+// benchScoreFast times one candidate against a cached context — the re-rank
+// loop's unit of work. With the static view injected (a static-cache hit)
+// nothing may allocate; computed, the only allocation is the returned clone
+// of that vector (header + data).
+func benchScoreFast(b *testing.B, compile func(any) (*plan.Plan, error)) {
+	m, inst := benchModel(b)
+	pl, err := compile(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := pl.NewExec()
+	dyn := e.PrecomputeDynamic(inst.Hist)
+	_, cached := e.ScoreFast(dyn, inst, nil) // grows the slot, fills the table rows
+	for _, c := range []struct {
+		name   string
+		hS     *tensor.Matrix
+		allocs float64
+	}{{"injected", cached, 0}, {"computed", nil, 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			assertAllocs(b, "ScoreFast/"+c.name, c.allocs, func() { e.ScoreFast(dyn, inst, c.hS) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.ScoreFast(dyn, inst, c.hS)
+			}
+		})
+	}
+}
+
+func BenchmarkExecScoreFast(b *testing.B)       { benchScoreFast(b, plan.For) }
+func BenchmarkExecScoreFastFrozen(b *testing.B) { benchScoreFast(b, plan.Frozen) }
+
+// benchPrecomputeDynamic times the per-history phase. Its result is a fresh
+// snapshot, whose allocations (the struct, the padded index and four cloned
+// matrices: 10 objects) are the call's purpose; nothing else may allocate.
+func benchPrecomputeDynamic(b *testing.B, compile func(any) (*plan.Plan, error)) {
+	m, inst := benchModel(b)
+	pl, err := compile(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := pl.NewExec()
+	e.PrecomputeDynamic(inst.Hist)
+	assertAllocs(b, "PrecomputeDynamic", 10, func() { e.PrecomputeDynamic(inst.Hist) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.PrecomputeDynamic(inst.Hist)
+	}
+}
+
+func BenchmarkExecPrecomputeDynamic(b *testing.B)       { benchPrecomputeDynamic(b, plan.For) }
+func BenchmarkExecPrecomputeDynamicFrozen(b *testing.B) { benchPrecomputeDynamic(b, plan.Frozen) }

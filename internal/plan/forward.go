@@ -54,7 +54,10 @@ func newFFNCache(layers, d int, useLN bool, withMask bool) ffnCache {
 }
 
 // candSlot holds the candidate-dependent forward state of one scored
-// candidate, kept around so the backward pass can consume it.
+// candidate, kept around so the backward pass can consume it. Inference
+// forwards reuse slot 0 for every candidate and fill only what they read:
+// eS stays untouched on a frozen plan, and of the cross-view buffers only the
+// static row-blocks (qxTop/kxTop/vxTop) are written.
 type candSlot struct {
 	staticIdx  []int
 	eS         *tensor.Matrix // s×d static embedding rows
@@ -63,18 +66,14 @@ type candSlot struct {
 	h0s        *tensor.Matrix // s×d static-view attention output
 	ffnS       ffnCache
 
-	qx, kx, vx          *tensor.Matrix // (s+n)×d full cross projections
+	qx, kx, vx          *tensor.Matrix // (s+n)×d full cross projections (training)
 	qxTop, kxTop, vxTop *tensor.Matrix // s×d views of the static row-blocks
-	ax                  *tensor.Matrix // (s+n)² cross attention probabilities
-	h0x                 *tensor.Matrix // (s+n)×d cross attention output
+	ax                  *tensor.Matrix // (s+n)² cross attention probabilities (training)
+	h0x                 *tensor.Matrix // (s+n)×d cross attention output (training)
 	ffnX                ffnCache
 
 	hagg  *tensor.Matrix // 1×(views·d) aggregated view vector
 	score float64
-	// hSFresh records whether the static view was computed (true) or injected
-	// from a cache (false, inference only — Backward rejects injected slots
-	// implicitly because training forwards never inject).
-	hSFresh bool
 }
 
 // attnScratch is the per-shape backward scratch of one self-attention block.
@@ -116,8 +115,14 @@ type Exec struct {
 	// ---- candidate phase ----
 	slots  []*candSlot
 	ssS    *tensor.Matrix // s×s static-view pre-softmax scratch
-	sx     *tensor.Matrix // (s+n)² cross pre-softmax scratch
+	sx     *tensor.Matrix // (s+n)² cross pre-softmax scratch (training)
 	scores []float64
+	// Block-form cross view (inference): one row of attention weights and one
+	// attended row at a time.
+	xw, xh []float64 // max(s,n) / d
+	// rowScratch is where a frozen plan's table computes a row another
+	// goroutine is mid-way through publishing (3d).
+	rowScratch []float64
 
 	nCand       int
 	fwdTraining bool
@@ -176,6 +181,8 @@ func (p *Plan) NewExec() *Exec {
 		e.qDbuf = tensor.New(n, d)
 		e.kDbuf = tensor.New(n, d)
 		e.vDbuf = tensor.New(n, d)
+		e.xw = make([]float64, max(s, n))
+		e.xh = make([]float64, d)
 		e.sx = tensor.New(c, c)
 		e.dh0x = tensor.New(c, d)
 		e.dqx = tensor.New(c, d)
@@ -200,6 +207,9 @@ func (p *Plan) NewExec() *Exec {
 	}
 	if p.hasS || p.hasX {
 		e.deS = tensor.New(s, d)
+	}
+	if p.frozen {
+		e.rowScratch = make([]float64, 3*d)
 	}
 	return e
 }
@@ -325,13 +335,30 @@ func (e *Exec) ffnForward(c *ffnCache, training bool) *tensor.Matrix {
 	return h
 }
 
-// attnForward runs one self-attention block: q/k/v = e·W, a = softmax of the
-// scaled score matrix plus mask, h0 = a·v. scores is scratch; a and h0 are
-// kept for the backward pass.
-func (e *Exec) attnForward(eIn *tensor.Matrix, w core.AttnSpec, mask *tensor.Matrix, q, k, v, scores, a, h0 *tensor.Matrix) {
-	tensor.MatMulInto(q, eIn, w.WQ.Value)
-	tensor.MatMulInto(k, eIn, w.WK.Value)
-	tensor.MatMulInto(v, eIn, w.WV.Value)
+// projectQKV fills q/k/v with the three projections of the embedding rows
+// idx — the one place the frozen and live paths part. A live plan multiplies
+// the gathered rows eIn by w; a frozen plan copies each row out of tab, which
+// holds what that multiplication produces for the row (tables.go).
+func (e *Exec) projectQKV(tab *projTable, idx []int, eIn *tensor.Matrix, w core.AttnSpec, q, k, v *tensor.Matrix) {
+	if tab == nil {
+		tensor.MatMulInto(q, eIn, w.WQ.Value)
+		tensor.MatMulInto(k, eIn, w.WK.Value)
+		tensor.MatMulInto(v, eIn, w.WV.Value)
+		return
+	}
+	d := e.plan.d
+	for i, ix := range idx {
+		row := tab.row(ix, e.rowScratch)
+		copy(q.Row(i), row[:d])
+		copy(k.Row(i), row[d:2*d])
+		copy(v.Row(i), row[2*d:])
+	}
+}
+
+// attend runs one dense self-attention block over projected rows:
+// a = softmax of the scaled score matrix plus mask, h0 = a·v. scores is
+// scratch; a and h0 are kept for the backward pass.
+func (e *Exec) attend(mask, q, k, v, scores, a, h0 *tensor.Matrix) {
 	maskedMatMulTInto(scores, q, k, mask)
 	scores.ScaleInPlace(e.plan.invSqrtD)
 	tensor.SoftmaxRowsInto(a, scores, mask)
@@ -375,7 +402,8 @@ func (e *Exec) beginDynamic(hist []int, training bool) {
 	}
 	e.linD = lin
 
-	if p.hasD || p.hasX {
+	// A live plan projects the gathered rows; a frozen plan reads its tables.
+	if !p.frozen && (p.hasD || p.hasX) {
 		gatherRows(e.eD, p.spec.EmbD.Value, e.dynIdx)
 	}
 	if p.hasD {
@@ -383,16 +411,15 @@ func (e *Exec) beginDynamic(hist []int, training bool) {
 		if p.maskPad {
 			mask = p.spec.CausalPad[pad]
 		}
-		e.attnForward(e.eD, p.spec.AttnD, mask, e.qd, e.kd, e.vd, e.sd, e.ad, e.hd0)
+		e.projectQKV(p.tab.dynD, e.dynIdx, e.eD, p.spec.AttnD, e.qd, e.kd, e.vd)
+		e.attend(mask, e.qd, e.kd, e.vd, e.sd, e.ad, e.hd0)
 		meanRowsInto(e.ffnD.h[0], e.hd0)
 		e.hD = e.ffnForward(&e.ffnD, training)
 	} else {
 		e.hD = nil
 	}
 	if p.hasX {
-		tensor.MatMulInto(e.qDbuf, e.eD, p.spec.AttnX.WQ.Value)
-		tensor.MatMulInto(e.kDbuf, e.eD, p.spec.AttnX.WK.Value)
-		tensor.MatMulInto(e.vDbuf, e.eD, p.spec.AttnX.WV.Value)
+		e.projectQKV(p.tab.crossD, e.dynIdx, e.eD, p.spec.AttnX, e.qDbuf, e.kDbuf, e.vDbuf)
 		e.qD, e.kD, e.vD = e.qDbuf, e.kDbuf, e.vDbuf
 	} else {
 		e.qD, e.kD, e.vD = nil, nil, nil
@@ -443,12 +470,10 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 	}
 	linear := p.spec.W0.Value.Data[0] + (gs + e.linD)
 
-	gathered := false
-	gatherS := func() {
-		if !gathered {
-			gatherRows(sl.eS, p.spec.EmbS.Value, sl.staticIdx)
-			gathered = true
-		}
+	// A live plan projects the gathered static rows — one gather, shared by
+	// the static and cross views; a frozen plan reads its tables.
+	if !p.frozen && (p.hasX || (p.hasS && hS == nil)) {
+		gatherRows(sl.eS, p.spec.EmbS.Value, sl.staticIdx)
 	}
 
 	var hSOut *tensor.Matrix
@@ -456,16 +481,13 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 	d := p.d
 	if p.hasS {
 		if hS == nil {
-			gatherS()
-			e.attnForward(sl.eS, p.spec.AttnS, nil, sl.qs, sl.ks, sl.vs, e.ssS, sl.as, sl.h0s)
+			e.projectQKV(p.tab.staticS, sl.staticIdx, sl.eS, p.spec.AttnS, sl.qs, sl.ks, sl.vs)
+			e.attend(nil, sl.qs, sl.ks, sl.vs, e.ssS, sl.as, sl.h0s)
 			meanRowsInto(sl.ffnS.h[0], sl.h0s)
 			hSOut = e.ffnForward(&sl.ffnS, training)
-			copy(sl.hagg.Data[off:off+d], hSOut.Data)
-			sl.hSFresh = true
-		} else {
-			copy(sl.hagg.Data[off:off+d], hS.Data)
-			sl.hSFresh = false
+			hS = hSOut
 		}
+		copy(sl.hagg.Data[off:off+d], hS.Data)
 		off += d
 	}
 	if p.hasD {
@@ -473,25 +495,14 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 		off += d
 	}
 	if p.hasX {
-		mask := p.spec.CrossMask
-		if p.maskPad {
-			mask = p.spec.CrossPad[e.padCount]
+		// Static row-blocks per candidate; dynamic row-blocks from the shared
+		// phase — the row-split core.forwardCandidate records via ConcatRows.
+		e.projectQKV(p.tab.crossS, sl.staticIdx, sl.eS, p.spec.AttnX, sl.qxTop, sl.kxTop, sl.vxTop)
+		if training {
+			e.crossDense(sl)
+		} else {
+			e.crossBlocks(sl)
 		}
-		gatherS()
-		// Static row-blocks projected fresh; dynamic row-blocks copied from
-		// the shared phase — the same row-split core.forwardCandidate records
-		// via ConcatRows.
-		tensor.MatMulInto(sl.qxTop, sl.eS, p.spec.AttnX.WQ.Value)
-		tensor.MatMulInto(sl.kxTop, sl.eS, p.spec.AttnX.WK.Value)
-		tensor.MatMulInto(sl.vxTop, sl.eS, p.spec.AttnX.WV.Value)
-		copy(sl.qx.Data[p.s*d:], e.qD.Data)
-		copy(sl.kx.Data[p.s*d:], e.kD.Data)
-		copy(sl.vx.Data[p.s*d:], e.vD.Data)
-		maskedMatMulTInto(e.sx, sl.qx, sl.kx, mask)
-		e.sx.ScaleInPlace(p.invSqrtD)
-		tensor.SoftmaxRowsInto(sl.ax, e.sx, mask)
-		tensor.MatMulInto(sl.h0x, sl.ax, sl.vx)
-		meanRowsInto(sl.ffnX.h[0], sl.h0x)
 		hX := e.ffnForward(&sl.ffnX, training)
 		copy(sl.hagg.Data[off:off+d], hX.Data)
 	}
@@ -499,6 +510,41 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 	f := dotVec(p.spec.Proj.Value.Data, sl.hagg.Data)
 	sl.score = linear + f
 	return sl.score, hSOut
+}
+
+// crossDense is the training cross view: the (s+n)-row Q/K/V are assembled in
+// the slot and attended under the additive cross mask, leaving the
+// probabilities and the attention output where Backward reads them.
+func (e *Exec) crossDense(sl *candSlot) {
+	p := e.plan
+	mask := p.spec.CrossMask
+	if p.maskPad {
+		mask = p.spec.CrossPad[e.padCount]
+	}
+	copy(sl.qx.Data[p.s*p.d:], e.qD.Data)
+	copy(sl.kx.Data[p.s*p.d:], e.kD.Data)
+	copy(sl.vx.Data[p.s*p.d:], e.vD.Data)
+	e.attend(mask, sl.qx, sl.kx, sl.vx, e.sx, sl.ax, sl.h0x)
+	meanRowsInto(sl.ffnX.h[0], sl.h0x)
+}
+
+// crossBlocks is the inference cross view: the same pooled attention output
+// as crossDense, bit for bit, from the two live blocks of the cross mask
+// alone. Static queries attend the dynamic keys (minus the padded head under
+// MaskPadding), then dynamic queries attend the static keys — the dense row
+// order, which is the order meanRowsInto pools in. qD/kD/vD are read where
+// they lie, in the Exec's buffers or the caller's DynState.
+func (e *Exec) crossBlocks(sl *candSlot) {
+	p := e.plan
+	firstKey := 0
+	if p.maskPad {
+		firstKey = e.padCount
+	}
+	pool := sl.ffnX.h[0]
+	pool.Zero()
+	addAttendedRows(pool.Data, sl.qxTop, e.kD, e.vD, firstKey, p.invSqrtD, e.xw, e.xh)
+	addAttendedRows(pool.Data, e.qD, sl.kxTop, sl.vxTop, 0, p.invSqrtD, e.xw, e.xh)
+	pool.ScaleInPlace(1.0 / float64(p.c))
 }
 
 // Score runs the full compiled forward for one instance in inference mode —
@@ -520,14 +566,23 @@ func (e *Exec) Forward(insts []feature.Instance, training bool) []float64 {
 	if len(insts) == 0 {
 		panic("plan: Forward of no instances")
 	}
+	if training && e.plan.frozen {
+		panic("plan: training Forward on a frozen plan")
+	}
 	if training && e.plan.dropRate > 0 && e.rng == nil {
 		panic("plan: training Forward without rng; call SetRNG")
 	}
 	e.beginDynamic(insts[0].Hist, training)
-	e.ensureSlots(len(insts))
+	// Only Backward reads a slot after its score is out, so inference scores
+	// every candidate through slot 0.
+	nSlots := 1
+	if training {
+		nSlots = len(insts)
+	}
+	e.ensureSlots(nSlots)
 	e.scores = e.scores[:0]
 	for i, inst := range insts {
-		s, _ := e.scoreCandidate(e.slots[i], inst, training, nil)
+		s, _ := e.scoreCandidate(e.slots[i%nSlots], inst, training, nil)
 		e.scores = append(e.scores, s)
 	}
 	e.nCand = len(insts)

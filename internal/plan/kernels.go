@@ -2,16 +2,23 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"seqfm/internal/tensor"
 )
 
 // The kernels here complete tensor's Into-variants for the operations the
-// compiled forward and backward need without allocating. Loop order and
-// accumulation association replicate the tensor package (and the ag backward
-// closures) exactly — that equivalence is what makes compiled forward values
-// bit-identical to the tape path, so do not "optimise" these with multiple
-// accumulators or blocking without revisiting plan's parity contract.
+// compiled forward and backward need without allocating. Each one reproduces,
+// for every value that can reach a score or a gradient, the IEEE operations
+// of the tensor kernel (or ag backward closure) it stands in for, in the same
+// order. Allowed: skipping an entry whose value is provably unobservable — an
+// additively −Inf-masked score (it becomes exp(−Inf) = +0 in the softmax, so
+// it cannot win the row maximum, adds +0 to the row sum, and is dropped by
+// the av == 0 guard of the a·v product), a gradient row nothing reads — and
+// never materialising a buffer that only held such entries. Not allowed:
+// anything that reassociates a sum — multiple accumulators, blocking or
+// unrolling a dot, pooling rows in another order, a narrower float type.
+// plan's parity tests compare bits, not tolerances.
 
 // matMulTInto computes dst = a·bᵀ, overwriting dst. Same per-element dot
 // association as tensor.MatMulT.
@@ -56,6 +63,58 @@ func maskedMatMulTInto(dst, a, b, mask *tensor.Matrix) {
 				continue
 			}
 			orow[j] = dotVec(arow, b.Row(j))
+		}
+	}
+}
+
+// addAttendedRows runs one block of masked attention without the mask: for
+// each query row q_i it attends the key rows [firstKey, k.Rows) — the block's
+// live entries — and adds softmax_j(scale·q_i·k_j)·v_j to pool. It is the
+// dense maskedMatMulTInto → ScaleInPlace → SoftmaxRowsInto → MatMulInto →
+// meanRowsInto chain restricted to entries the mask leaves open, and equal to
+// it bit for bit: a masked entry is exp(−Inf) = +0 there, which never wins
+// the row maximum, leaves the row sum unchanged when added in column order,
+// and is skipped by MatMulInto's av == 0 guard (kept here for live weights
+// that underflow to 0); a row with no live key is a zero row, and adding +0
+// to a pooled sum that started at +0 changes nothing. w (≥ k.Rows) and
+// h (q.Cols) are scratch.
+func addAttendedRows(pool []float64, q, k, v *tensor.Matrix, firstKey int, scale float64, w, h []float64) {
+	if q.Cols != k.Cols || k.Rows != v.Rows || len(pool) != v.Cols || len(h) != v.Cols || len(w) < k.Rows {
+		panic(fmt.Sprintf("plan: addAttendedRows: q %dx%d, k %dx%d, v %dx%d, pool %d, scratch %d/%d",
+			q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols, len(pool), len(w), len(h)))
+	}
+	for i := 0; i < q.Rows; i++ {
+		qrow := q.Row(i)
+		max := math.Inf(-1)
+		for j := firstKey; j < k.Rows; j++ {
+			s := dotVec(qrow, k.Row(j)) * scale
+			w[j] = s
+			if s > max {
+				max = s
+			}
+		}
+		if math.IsInf(max, -1) {
+			continue
+		}
+		sum := 0.0
+		for j := firstKey; j < k.Rows; j++ {
+			e := math.Exp(w[j] - max)
+			w[j] = e
+			sum += e
+		}
+		inv := 1.0 / sum
+		clear(h)
+		for j := firstKey; j < k.Rows; j++ {
+			av := w[j] * inv
+			if av == 0 {
+				continue
+			}
+			for t, bv := range v.Row(j) {
+				h[t] += av * bv
+			}
+		}
+		for t, hv := range h {
+			pool[t] += hv
 		}
 	}
 }

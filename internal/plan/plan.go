@@ -13,14 +13,33 @@
 //
 // Contracts, pinned by internal/plan's parity tests:
 //
-//   - Forward values are bit-identical to the tape path. The compiled forward
-//     calls the same tensor kernels (or loop-order-exact replicas) in the
-//     same order with the same association, so Score, PrecomputeDynamic and
-//     ScoreFast agree with core's tape implementations bit for bit — a
-//     compiled serving generation can consume a tape-built DynState and vice
-//     versa. Deliberately NOT done: multi-accumulator dot/matmul unrolling,
-//     which would reassociate IEEE sums and break this contract. The win is
-//     eliminated dispatch, closures and allocation, not kernel reassociation.
+//   - Forward values are bit-identical to the tape path, so Score,
+//     PrecomputeDynamic and ScoreFast agree with core's tape implementations
+//     bit for bit — a compiled serving generation can consume a tape-built
+//     DynState and vice versa. What the compiled forward may do is whatever
+//     leaves every IEEE operation that reaches the score, and its order,
+//     unchanged: drop dispatch, closures and allocation; skip work whose
+//     result is provably unobservable (entries an additive −Inf mask turns
+//     into exp(−Inf) = +0, which neither win a row maximum nor move a row
+//     sum; a·v terms MatMulInto's av == 0 guard already skips); and compute
+//     a value once instead of many times when its inputs cannot change (a
+//     frozen plan's projected rows, see below). What it may not do is
+//     reassociate a sum: no multi-accumulator or blocked dot/matmul, no
+//     reordered pooling, no narrower float type.
+//   - A plan is live or frozen. For returns a live plan: it aliases the
+//     model's parameter matrices and recomputes every projection on every
+//     pass, so it always scores the weights the model holds now — training,
+//     the gradient checks and anything else an optimizer steps under must use
+//     it. Frozen returns a plan for weights that will never change again (a
+//     published serving generation): it additionally owns lazily filled
+//     tables of Emb[i]·W rows (tables.go) and is inference-only. Which path a
+//     forward takes follows from what the code observes — the training flag
+//     and whether the plan is frozen — never from a configuration value.
+//   - Every inference forward, live or frozen, runs the cross view in block
+//     form (addAttendedRows): static queries over the dynamic keys and
+//     dynamic queries over the static keys, reading the shared dynamic blocks
+//     in place, with no (n°+n.)² buffer. Training forwards keep the dense
+//     buffers Backward consumes.
 //   - The hand-derived backward computes the same mathematical gradients as
 //     the tape's reverse pass, exact up to IEEE reassociation (the shared
 //     dynamic subgraph accumulates upstream gradients in candidate order
@@ -52,11 +71,17 @@ import (
 // Compile and safe for concurrent use; per-goroutine mutable state lives in
 // Exec values (NewExec / Get / Put).
 //
-// The Plan aliases the model's live parameter matrices, so it always scores
-// the weights the model currently holds — optimizer steps need no recompile.
-// Structural changes (a different Config or ablation) need a new Plan.
+// A live Plan (For, Compile) aliases the model's parameter matrices, so it
+// always scores the weights the model currently holds — optimizer steps need
+// no recompile. A frozen Plan (Frozen) also caches projections of those
+// weights and is only valid while they stay untouched. Structural changes (a
+// different Config or ablation) need a new Plan.
 type Plan struct {
 	spec core.ModelSpec
+	// frozen marks an inference-only plan over immutable weights; tab holds
+	// its projected-row tables (all nil on a live plan).
+	frozen bool
+	tab    tables
 
 	s, n, d int // static rows n°, dynamic rows n., latent dim d
 	c       int // cross-view rows: s+n
@@ -136,6 +161,33 @@ func For(m any) (*Plan, error) {
 		return nil, fmt.Errorf("plan: %T does not expose a compilable spec", m)
 	}
 	return Compile(src.Spec())
+}
+
+// Frozen compiles an inference-only plan for a model whose parameters will
+// not change for as long as the plan is used — a published serving
+// generation. Its Execs read each Emb[i]·W row from a per-plan table filled
+// on first touch instead of multiplying it out per request; scores stay
+// bit-identical to For's. Mutating the weights afterwards makes the plan
+// stale: compile a new one (serve does, on every Swap and InvalidateCaches).
+// Training forwards on a frozen plan panic.
+func Frozen(m any) (*Plan, error) {
+	p, err := For(m)
+	if err != nil {
+		return nil, err
+	}
+	p.frozen = true
+	embS, embD := p.spec.EmbS.Value, p.spec.EmbD.Value
+	if p.hasS {
+		p.tab.staticS = newProjTable(embS, p.spec.AttnS)
+	}
+	if p.hasD {
+		p.tab.dynD = newProjTable(embD, p.spec.AttnD)
+	}
+	if p.hasX {
+		p.tab.crossS = newProjTable(embS, p.spec.AttnX)
+		p.tab.crossD = newProjTable(embD, p.spec.AttnX)
+	}
+	return p, nil
 }
 
 // Get returns a pooled Exec; Put returns it. The pool serves the RCU-swapped

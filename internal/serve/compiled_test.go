@@ -84,8 +84,8 @@ func TestCompiledEngineFallsBackForPlainScorers(t *testing.T) {
 // TestCompiledTopKDuringSwapStorm is the satellite -race test: under a
 // publisher storm, every TopKOn served by compiled generations must return
 // scores bit-identical to a fresh tape pass over exactly the weights of the
-// generation it reports — RCU swaps must never mix plan buffers across
-// generations.
+// generation it reports — RCU swaps must never mix plan buffers or frozen
+// projection tables across generations.
 func TestCompiledTopKDuringSwapStorm(t *testing.T) {
 	m := testModel(t)
 	e := NewEngine(m, Config{Workers: 2})
@@ -110,7 +110,13 @@ func TestCompiledTopKDuringSwapStorm(t *testing.T) {
 			case <-time.After(200 * time.Microsecond):
 			}
 			next := cur.Clone()
-			next.Params()[0].Value.Data[0] += 1e-6
+			// Every weight moves, so a projected row surviving from an older
+			// generation's tables would show up as a wrong score.
+			for _, p := range next.Params() {
+				for j := range p.Value.Data {
+					p.Value.Data[j] += 1e-6
+				}
+			}
 			mu.Lock()
 			gen := e.Swap(next)
 			models[gen] = next

@@ -164,7 +164,9 @@ type generation struct {
 	// plan is the generation's compiled execution plan; nil when the engine
 	// is configured for tape scoring or the model has no compilable spec.
 	// Compiled at publish time, so every request against this generation
-	// scores through preallocated plan buffers instead of tape nodes.
+	// scores through preallocated plan buffers instead of tape nodes. It is a
+	// frozen plan: a generation's weights are immutable by Swap's contract,
+	// so its projected-embedding tables live and die with the generation.
 	plan *plan.Plan
 	// born is the publish wall-clock (UnixNano), read by the experiment
 	// tier's swap-lag metric: how long new weights sit published before the
@@ -318,7 +320,7 @@ func (e *Engine) newGeneration(m Scorer) *generation {
 		g.fast = f
 	}
 	if g.fast != nil && e.cfg.Engine != EngineTape {
-		if pl, err := plan.For(m); err == nil {
+		if pl, err := plan.Frozen(m); err == nil {
 			g.plan = pl
 		}
 	}

@@ -274,8 +274,13 @@ func TestInvalidateCachesAfterWeightUpdate(t *testing.T) {
 	if s := e.Stats(); s.StaticEntries == 0 || s.DynEntries == 0 {
 		t.Fatalf("caches empty after a batch: %+v", s)
 	}
-	// Perturb a weight: cached vectors are now stale.
-	m.Params()[0].Value.Data[0] += 0.5
+	// Perturb every weight in place: the cached vectors, and every projected
+	// embedding row the generation's frozen plan has tabled, are now stale.
+	for _, p := range m.Params() {
+		for j := range p.Value.Data {
+			p.Value.Data[j] += 0.01 * float64(1+j%5)
+		}
+	}
 	e.InvalidateCaches()
 	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 {
 		t.Fatalf("InvalidateCaches left entries: %+v", s)

@@ -194,3 +194,36 @@ func TestCompiledStepperMatchesTape(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalCompiledMatchesTape pins the evaluation protocols' scoring switch: a
+// SeqFM model is scored through one plan.Exec per worker (a user's candidates
+// sharing one dynamic phase), anything else through a tape per instance, and
+// the metrics are equal to the last bit — the compiled forward is
+// bit-identical to the tape's, and the sampler streams do not depend on the
+// scorer. monolithicModel hides the model's Spec, forcing the tape.
+func TestEvalCompiledMatchesTape(t *testing.T) {
+	cfg := EvalConfig{J: 20, Seed: 7, Workers: 2}
+
+	d := popularityDataset()
+	split := data.NewSplit(d)
+	m := seqfmModel(t, d, 1)
+	if _, err := Ranking(m, split, Config{Epochs: 1, BatchSize: 64, LR: 0.01, Negatives: 2, Seed: 5, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rc, rt := EvalRanking(m, split, cfg), EvalRanking(monolithicModel{m}, split, cfg)
+	for _, k := range []int{5, 10, 20} {
+		if rc.HR[k] != rt.HR[k] || rc.NDCG[k] != rt.NDCG[k] {
+			t.Fatalf("ranking @%d: compiled HR %v NDCG %v, tape HR %v NDCG %v", k, rc.HR[k], rc.NDCG[k], rt.HR[k], rt.NDCG[k])
+		}
+	}
+	if cc, ct := EvalClassification(m, split, cfg), EvalClassification(monolithicModel{m}, split, cfg); cc != ct {
+		t.Fatalf("classification: compiled %+v, tape %+v", cc, ct)
+	}
+
+	rd := ratingDataset()
+	rm := seqfmModel(t, rd, 1)
+	rsplit := data.NewSplit(rd)
+	if gc, gt := EvalRegression(rm, rsplit, cfg), EvalRegression(monolithicModel{rm}, rsplit, cfg); gc != gt {
+		t.Fatalf("regression: compiled %+v, tape %+v", gc, gt)
+	}
+}

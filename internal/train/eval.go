@@ -1,7 +1,6 @@
 package train
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -10,6 +9,7 @@ import (
 	"seqfm/internal/data"
 	"seqfm/internal/feature"
 	"seqfm/internal/metrics"
+	"seqfm/internal/plan"
 )
 
 // RankingResult holds HR@K and NDCG@K for the requested cutoffs.
@@ -56,10 +56,48 @@ func (c EvalConfig) instances(split *data.Split) []feature.Instance {
 	return split.Test
 }
 
-// score runs one inference-mode forward pass.
-func score(m Model, inst feature.Instance) float64 {
-	t := ag.NewTape()
-	return m.Score(t, inst).Value.ScalarValue()
+// evalScorer is one evaluation worker's scoring state. A model the plan
+// compiler accepts (SeqFM) is scored through the worker's own Exec, all
+// instances of a call against one shared dynamic phase; anything else (the
+// baselines) through a fresh inference tape per instance. The two agree bit
+// for bit — that is plan's parity contract — so metrics do not depend on
+// which one ran.
+type evalScorer struct {
+	m      Model
+	exec   *plan.Exec // nil: tape
+	insts  []feature.Instance
+	scores []float64
+}
+
+// newEvalScorers builds one scorer per worker.
+func newEvalScorers(m Model, workers int) []evalScorer {
+	scorers := make([]evalScorer, workers)
+	pl, err := plan.For(m)
+	for i := range scorers {
+		scorers[i].m = m
+		if err == nil {
+			scorers[i].exec = pl.NewExec()
+		}
+	}
+	return scorers
+}
+
+// score runs inference-mode forward passes for first and for every object of
+// others substituted as its target — instances that share first's user and
+// history. The result is the scorer's scratch, valid until its next call.
+func (s *evalScorer) score(ds *data.Dataset, first feature.Instance, others ...int) []float64 {
+	s.insts = append(s.insts[:0], first)
+	for _, o := range others {
+		s.insts = append(s.insts, ds.WithTargetObject(first, o))
+	}
+	if s.exec != nil {
+		return s.exec.Forward(s.insts, false)
+	}
+	s.scores = s.scores[:0]
+	for _, inst := range s.insts {
+		s.scores = append(s.scores, s.m.Score(ag.NewTape(), inst).Value.ScalarValue())
+	}
+	return s.scores
 }
 
 // ParallelEach fans f over n indexed jobs across the given number of worker
@@ -97,14 +135,11 @@ func EvalRanking(m Model, split *data.Split, cfg EvalConfig) RankingResult {
 		samplers[i] = data.NewNegativeSampler(split.Dataset(),
 			rand.New(rand.NewSource(cfg.Seed+int64(31*(i+1)))))
 	}
+	scorers := newEvalScorers(m, cfg.Workers)
 	ParallelEach(len(insts), cfg.Workers, func(w, i int) {
 		inst := insts[i]
-		pos := score(m, inst)
-		negScores := make([]float64, cfg.J)
-		for j, o := range samplers[w].SampleN(inst.User, cfg.J) {
-			negScores[j] = score(m, split.Dataset().WithTargetObject(inst, o))
-		}
-		ranks[i] = metrics.RankOf(pos, negScores)
+		scores := scorers[w].score(split.Dataset(), inst, samplers[w].SampleN(inst.User, cfg.J)...)
+		ranks[i] = metrics.RankOf(scores[0], scores[1:])
 	})
 	res := RankingResult{HR: map[int]float64{}, NDCG: map[int]float64{}}
 	for _, k := range cfg.Ks {
@@ -135,13 +170,14 @@ func EvalClassification(m Model, split *data.Split, cfg EvalConfig) Classificati
 		samplers[i] = data.NewNegativeSampler(split.Dataset(),
 			rand.New(rand.NewSource(cfg.Seed+int64(37*(i+1)))))
 	}
+	scorers := newEvalScorers(m, cfg.Workers)
 	ParallelEach(len(insts), cfg.Workers, func(w, i int) {
 		inst := insts[i]
-		neg := split.Dataset().WithTargetObject(inst, samplers[w].Sample(inst.User))
-		probs[2*i] = sigmoid(score(m, inst))
+		scores := scorers[w].score(split.Dataset(), inst, samplers[w].Sample(inst.User))
+		probs[2*i] = plan.Sigmoid(scores[0])
 		labels[2*i] = true
 		truth[2*i] = 1
-		probs[2*i+1] = sigmoid(score(m, neg))
+		probs[2*i+1] = plan.Sigmoid(scores[1])
 		labels[2*i+1] = false
 	})
 	return ClassificationResult{
@@ -162,20 +198,13 @@ func EvalRegression(m Model, split *data.Split, cfg EvalConfig) RegressionResult
 	insts := cfg.instances(split)
 	pred := make([]float64, len(insts))
 	truth := make([]float64, len(insts))
-	ParallelEach(len(insts), cfg.Workers, func(_, i int) {
-		pred[i] = score(m, insts[i])
+	scorers := newEvalScorers(m, cfg.Workers)
+	ParallelEach(len(insts), cfg.Workers, func(w, i int) {
+		pred[i] = scorers[w].score(split.Dataset(), insts[i])[0]
 		truth[i] = insts[i].Label
 	})
 	return RegressionResult{
 		MAE:  metrics.MAE(pred, truth),
 		RRSE: metrics.RRSE(pred, truth),
 	}
-}
-
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
 }
