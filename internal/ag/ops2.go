@@ -25,10 +25,7 @@ func (t *Tape) SoftmaxRows(a *Node, mask *tensor.Matrix) *Node {
 		for i := 0; i < v.Rows; i++ {
 			y := v.Row(i)
 			dy := out.grad.Row(i)
-			dotRow := 0.0
-			for j, yj := range y {
-				dotRow += dy[j] * yj
-			}
+			dotRow := tensor.DotVec(dy, y)
 			dst := g.Row(i)
 			for j, yj := range y {
 				dst[j] += yj * (dy[j] - dotRow)

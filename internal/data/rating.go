@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"seqfm/internal/tensor"
 )
 
 // RatingConfig drives the synthetic explicit-rating generator standing in
@@ -86,7 +88,7 @@ func GenerateRating(cfg RatingConfig) (*Dataset, error) {
 				best, bestSim := item, math.Inf(-1)
 				for k := 0; k < 4; k++ {
 					cand := rng.Intn(cfg.NumItems)
-					sim := dotVec(itemF[cand], itemF[recent[len(recent)-1]])
+					sim := tensor.DotVec(itemF[cand], itemF[recent[len(recent)-1]])
 					if sim > bestSim {
 						best, bestSim = cand, sim
 					}
@@ -99,13 +101,13 @@ func GenerateRating(cfg RatingConfig) (*Dataset, error) {
 			drift := 0.0
 			if len(recent) > 0 {
 				for _, r := range recent {
-					drift += dotVec(itemF[item], itemF[r])
+					drift += tensor.DotVec(itemF[item], itemF[r])
 				}
 				drift /= float64(len(recent))
 			}
 
 			r := globalMean + userB[u] + itemB[item] +
-				dotVec(userF[u], itemF[item]) +
+				tensor.DotVec(userF[u], itemF[item]) +
 				cfg.DriftWeight*drift +
 				cfg.NoiseStd*rng.NormFloat64()
 			if cfg.RoundRatings {
@@ -141,14 +143,6 @@ func randVec(rng *rand.Rand, n int, std float64) []float64 {
 		v[i] = std * rng.NormFloat64()
 	}
 	return v
-}
-
-func dotVec(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -70,28 +70,34 @@ func (s Space) NumStaticFields() int {
 // static field, in the fixed order user, candidate, user-attr, object-attr.
 // The result length always equals NumStaticFields.
 func (s Space) StaticIndices(inst Instance) []int {
+	return s.StaticIndicesInto(nil, inst)
+}
+
+// StaticIndicesInto is StaticIndices into dst's backing array (grown if too
+// small), for callers that score in a loop.
+func (s Space) StaticIndicesInto(dst []int, inst Instance) []int {
 	if inst.User < 0 || inst.User >= s.NumUsers {
 		panic(fmt.Sprintf("feature: user %d outside [0,%d)", inst.User, s.NumUsers))
 	}
 	if inst.Target < 0 || inst.Target >= s.NumObjects {
 		panic(fmt.Sprintf("feature: target %d outside [0,%d)", inst.Target, s.NumObjects))
 	}
-	idx := []int{inst.User, s.NumUsers + inst.Target}
+	dst = append(dst[:0], inst.User, s.NumUsers+inst.Target)
 	off := s.NumUsers + s.NumObjects
 	if s.NumUserAttrs > 0 {
 		if inst.UserAttr < 0 || inst.UserAttr >= s.NumUserAttrs {
 			panic(fmt.Sprintf("feature: user attr %d outside [0,%d)", inst.UserAttr, s.NumUserAttrs))
 		}
-		idx = append(idx, off+inst.UserAttr)
+		dst = append(dst, off+inst.UserAttr)
 		off += s.NumUserAttrs
 	}
 	if s.NumItemAttrs > 0 {
 		if inst.TargetAttr < 0 || inst.TargetAttr >= s.NumItemAttrs {
 			panic(fmt.Sprintf("feature: target attr %d outside [0,%d)", inst.TargetAttr, s.NumItemAttrs))
 		}
-		idx = append(idx, off+inst.TargetAttr)
+		dst = append(dst, off+inst.TargetAttr)
 	}
-	return idx
+	return dst
 }
 
 // PadHist returns the dynamic sequence truncated to the most recent n

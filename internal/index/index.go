@@ -247,6 +247,11 @@ func normalizeQuery(q []float64, dim int) []float64 {
 // cosine similarity. Four accumulators break the FP add dependency chain;
 // the re-slices inside the loop let the compiler drop the per-element
 // bounds checks (measured ~27% faster than the naive unroll at d=64).
+//
+// This is deliberately not tensor.DotVec: splitting one sum over four
+// accumulators reassociates it, which the model kernels may not do (their
+// contract is bit-identity with the tape) and retrieval may — its contract is
+// recall against exact search, which BENCHMARK.json pins (index.recall_at_100).
 func dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64

@@ -127,8 +127,8 @@ func (e *Exec) ffnBackward(c *ffnCache, dh *tensor.Matrix, g *gradRefs) {
 		if p.useLN {
 			in = c.ln[k]
 		}
-		addTMatMul(g.ffnW[k], in, dz)           // dW += inᵀ·dz
-		matMulTInto(e.ffnDlin, dz, lay.W.Value) // dlin = dz·Wᵀ
+		tensor.AddTMatMul(g.ffnW[k], in, dz)                // dW += inᵀ·dz
+		tensor.MatMulTInto(e.ffnDlin, dz, lay.W.Value, nil) // dlin = dz·Wᵀ
 		if p.useLN {
 			x := c.h[k]
 			m := c.mu[k]
@@ -184,17 +184,17 @@ func broadcastMeanBackward(dh0, dpool *tensor.Matrix) {
 // padRows rows at the head of deOut are dead (the embedding scatter drops
 // padded indices) and are not accumulated; pass 0 when every row is live.
 func (e *Exec) attnBackwardSelf(scr *attnScratch, eIn, a, q, k, v, dh0, mask *tensor.Matrix, w core.AttnSpec, gw attnGradRefs, deOut *tensor.Matrix, padRows int) {
-	tMatMulInto(scr.dv, a, dh0)             // dV = Aᵀ·dH
-	maskedMatMulTInto(scr.da, dh0, v, mask) // dA = dH·Vᵀ
+	tensor.TMatMulInto(scr.dv, a, dh0)       // dV = Aᵀ·dH
+	tensor.MatMulTInto(scr.da, dh0, v, mask) // dA = dH·Vᵀ
 	softmaxBackwardScaled(scr.ds, a, scr.da, e.plan.invSqrtD)
-	tensor.MatMulInto(scr.dq, scr.ds, k) // dQ = dS·K
-	tMatMulInto(scr.dk, scr.ds, q)       // dK = dSᵀ·Q
-	addTMatMul(gw.wq, eIn, scr.dq)
-	addMatMulTFrom(deOut, scr.dq, w.WQ.Value, padRows)
-	addTMatMul(gw.wk, eIn, scr.dk)
-	addMatMulTFrom(deOut, scr.dk, w.WK.Value, padRows)
-	addTMatMul(gw.wv, eIn, scr.dv)
-	addMatMulTFrom(deOut, scr.dv, w.WV.Value, padRows)
+	tensor.MatMulInto(scr.dq, scr.ds, k)  // dQ = dS·K
+	tensor.TMatMulInto(scr.dk, scr.ds, q) // dK = dSᵀ·Q
+	tensor.AddTMatMul(gw.wq, eIn, scr.dq)
+	tensor.AddMatMulT(deOut, scr.dq, w.WQ.Value, padRows)
+	tensor.AddTMatMul(gw.wk, eIn, scr.dk)
+	tensor.AddMatMulT(deOut, scr.dk, w.WK.Value, padRows)
+	tensor.AddTMatMul(gw.wv, eIn, scr.dv)
+	tensor.AddMatMulT(deOut, scr.dv, w.WV.Value, padRows)
 }
 
 // Backward runs the hand-derived reverse pass for the instances of the last
@@ -279,18 +279,18 @@ func (e *Exec) Backward(dscores []float64, shard *ag.GradShard) {
 			}
 			e.ffnBackward(&sl.ffnX, e.dview, &g)
 			broadcastMeanBackward(e.dh0x, e.dview)
-			tMatMulInto(e.dvx, sl.ax, e.dh0x)
-			maskedMatMulTInto(e.dax, e.dh0x, sl.vx, xmask)
+			tensor.TMatMulInto(e.dvx, sl.ax, e.dh0x)
+			tensor.MatMulTInto(e.dax, e.dh0x, sl.vx, xmask)
 			softmaxBackwardScaled(e.dsx, sl.ax, e.dax, p.invSqrtD)
 			tensor.MatMulInto(e.dqx, e.dsx, sl.kx)
-			tMatMulInto(e.dkx, e.dsx, sl.qx)
+			tensor.TMatMulInto(e.dkx, e.dsx, sl.qx)
 			// Top row-blocks: this candidate's static rows through W*x.
-			addTMatMul(g.attnX.wq, sl.eS, e.dqxTop)
-			addMatMulT(e.deS, e.dqxTop, p.spec.AttnX.WQ.Value)
-			addTMatMul(g.attnX.wk, sl.eS, e.dkxTop)
-			addMatMulT(e.deS, e.dkxTop, p.spec.AttnX.WK.Value)
-			addTMatMul(g.attnX.wv, sl.eS, e.dvxTop)
-			addMatMulT(e.deS, e.dvxTop, p.spec.AttnX.WV.Value)
+			tensor.AddTMatMul(g.attnX.wq, sl.eS, e.dqxTop)
+			tensor.AddMatMulT(e.deS, e.dqxTop, p.spec.AttnX.WQ.Value, 0)
+			tensor.AddTMatMul(g.attnX.wk, sl.eS, e.dkxTop)
+			tensor.AddMatMulT(e.deS, e.dkxTop, p.spec.AttnX.WK.Value, 0)
+			tensor.AddTMatMul(g.attnX.wv, sl.eS, e.dvxTop)
+			tensor.AddMatMulT(e.deS, e.dvxTop, p.spec.AttnX.WV.Value, 0)
 			// Bottom row-blocks: shared dynamic projections, deferred.
 			e.dqD.AddInPlace(e.dqxBot)
 			e.dkD.AddInPlace(e.dkxBot)
@@ -310,12 +310,12 @@ func (e *Exec) Backward(dscores []float64, shard *ag.GradShard) {
 	// Dynamic phase: backpropagate the shared subgraph once.
 	if p.hasX {
 		// qD = eD·WQx (and k, v): resolve the accumulated bottom-block grads.
-		addTMatMul(g.attnX.wq, e.eD, e.dqD)
-		addMatMulTFrom(e.deD, e.dqD, p.spec.AttnX.WQ.Value, e.padCount)
-		addTMatMul(g.attnX.wk, e.eD, e.dkD)
-		addMatMulTFrom(e.deD, e.dkD, p.spec.AttnX.WK.Value, e.padCount)
-		addTMatMul(g.attnX.wv, e.eD, e.dvD)
-		addMatMulTFrom(e.deD, e.dvD, p.spec.AttnX.WV.Value, e.padCount)
+		tensor.AddTMatMul(g.attnX.wq, e.eD, e.dqD)
+		tensor.AddMatMulT(e.deD, e.dqD, p.spec.AttnX.WQ.Value, e.padCount)
+		tensor.AddTMatMul(g.attnX.wk, e.eD, e.dkD)
+		tensor.AddMatMulT(e.deD, e.dkD, p.spec.AttnX.WK.Value, e.padCount)
+		tensor.AddTMatMul(g.attnX.wv, e.eD, e.dvD)
+		tensor.AddMatMulT(e.deD, e.dvD, p.spec.AttnX.WV.Value, e.padCount)
 	}
 	if p.hasD {
 		e.ffnBackward(&e.ffnD, e.dhD, &g)

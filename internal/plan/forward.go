@@ -55,9 +55,10 @@ func newFFNCache(layers, d int, useLN bool, withMask bool) ffnCache {
 
 // candSlot holds the candidate-dependent forward state of one scored
 // candidate, kept around so the backward pass can consume it. Inference
-// forwards reuse slot 0 for every candidate and fill only what they read:
-// eS stays untouched on a frozen plan, and of the cross-view buffers only the
-// static row-blocks (qxTop/kxTop/vxTop) are written.
+// forwards reuse slot 0 for every candidate and fill only what they read: of
+// the cross-view buffers only the static row-blocks (qxTop/kxTop/vxTop) are
+// written. A frozen plan's slots have no eS, ax or h0x, and their qx/kx/vx
+// are just those row-blocks (newSlot).
 type candSlot struct {
 	staticIdx  []int
 	eS         *tensor.Matrix // s×d static embedding rows
@@ -82,10 +83,10 @@ type attnScratch struct {
 	da, ds     *tensor.Matrix // r×r
 }
 
-func newAttnScratch(r, d int) attnScratch {
+func (p *Plan) newAttnScratch(r int) attnScratch {
 	return attnScratch{
-		dq: tensor.New(r, d), dk: tensor.New(r, d), dv: tensor.New(r, d),
-		da: tensor.New(r, r), ds: tensor.New(r, r),
+		dq: p.liveOnly(r, p.d), dk: p.liveOnly(r, p.d), dv: p.liveOnly(r, p.d),
+		da: p.liveOnly(r, r), ds: p.liveOnly(r, r),
 	}
 }
 
@@ -146,24 +147,35 @@ type Exec struct {
 	ffnDin           *tensor.Matrix // 1×d
 }
 
+// liveOnly allocates a buffer that only a live plan's passes touch — the
+// gathered embedding rows its projections multiply, and everything a training
+// Forward keeps for Backward or Backward scribbles on. A frozen plan reads its
+// tables instead and refuses to train, so its Execs leave these nil.
+func (p *Plan) liveOnly(rows, cols int) *tensor.Matrix {
+	if p.frozen {
+		return nil
+	}
+	return tensor.New(rows, cols)
+}
+
 // NewExec allocates a fresh execution state for p. Every buffer is sized from
 // the config here; the hot paths below allocate nothing (beyond candidate
 // slots the first time a larger batch is seen).
 func (p *Plan) NewExec() *Exec {
 	s, n, d, c := p.s, p.n, p.d, p.c
 	L := len(p.spec.FFN)
-	withMask := p.dropRate > 0
+	withMask := p.dropRate > 0 && !p.frozen
 	e := &Exec{
 		plan:    p,
 		dynIdx:  make([]int, n),
-		dview:   tensor.New(1, d),
-		ffnDz:   tensor.New(1, d),
-		ffnDlin: tensor.New(1, d),
-		ffnDin:  tensor.New(1, d),
+		dview:   p.liveOnly(1, d),
+		ffnDz:   p.liveOnly(1, d),
+		ffnDlin: p.liveOnly(1, d),
+		ffnDin:  p.liveOnly(1, d),
 	}
 	if p.hasD || p.hasX {
-		e.eD = tensor.New(n, d)
-		e.deD = tensor.New(n, d)
+		e.eD = p.liveOnly(n, d)
+		e.deD = p.liveOnly(n, d)
 	}
 	if p.hasD {
 		e.qd = tensor.New(n, d)
@@ -173,9 +185,9 @@ func (p *Plan) NewExec() *Exec {
 		e.ad = tensor.New(n, n)
 		e.hd0 = tensor.New(n, d)
 		e.ffnD = newFFNCache(L, d, p.useLN, withMask)
-		e.dhD = tensor.New(1, d)
-		e.dh0d = tensor.New(n, d)
-		e.scrD = newAttnScratch(n, d)
+		e.dhD = p.liveOnly(1, d)
+		e.dh0d = p.liveOnly(n, d)
+		e.scrD = p.newAttnScratch(n)
 	}
 	if p.hasX {
 		e.qDbuf = tensor.New(n, d)
@@ -183,8 +195,15 @@ func (p *Plan) NewExec() *Exec {
 		e.vDbuf = tensor.New(n, d)
 		e.xw = make([]float64, max(s, n))
 		e.xh = make([]float64, d)
-		e.sx = tensor.New(c, c)
-		e.dh0x = tensor.New(c, d)
+		e.sx = p.liveOnly(c, c)
+		e.dh0x = p.liveOnly(c, d)
+		e.dax = p.liveOnly(c, c)
+		e.dsx = p.liveOnly(c, c)
+		e.dqD = p.liveOnly(n, d)
+		e.dkD = p.liveOnly(n, d)
+		e.dvD = p.liveOnly(n, d)
+	}
+	if p.hasX && !p.frozen {
 		e.dqx = tensor.New(c, d)
 		e.dkx = tensor.New(c, d)
 		e.dvx = tensor.New(c, d)
@@ -194,19 +213,14 @@ func (p *Plan) NewExec() *Exec {
 		e.dkxBot = tensor.FromSlice(n, d, e.dkx.Data[s*d:])
 		e.dvxTop = tensor.FromSlice(s, d, e.dvx.Data[:s*d])
 		e.dvxBot = tensor.FromSlice(n, d, e.dvx.Data[s*d:])
-		e.dax = tensor.New(c, c)
-		e.dsx = tensor.New(c, c)
-		e.dqD = tensor.New(n, d)
-		e.dkD = tensor.New(n, d)
-		e.dvD = tensor.New(n, d)
 	}
 	if p.hasS {
 		e.ssS = tensor.New(s, s)
-		e.dh0s = tensor.New(s, d)
-		e.scrS = newAttnScratch(s, d)
+		e.dh0s = p.liveOnly(s, d)
+		e.scrS = p.newAttnScratch(s)
 	}
 	if p.hasS || p.hasX {
-		e.deS = tensor.New(s, d)
+		e.deS = p.liveOnly(s, d)
 	}
 	if p.frozen {
 		e.rowScratch = make([]float64, 3*d)
@@ -218,17 +232,18 @@ func (p *Plan) NewExec() *Exec {
 // not be shared with other Execs or tapes.
 func (e *Exec) SetRNG(rng *rand.Rand) { e.rng = rng }
 
-// newSlot allocates one candidate slot for the plan's active views.
+// newSlot allocates one candidate slot for the plan's active views. On a
+// frozen plan qx/kx/vx are just their static row-blocks.
 func (p *Plan) newSlot() *candSlot {
 	s, d, c := p.s, p.d, p.c
 	L := len(p.spec.FFN)
-	withMask := p.dropRate > 0
+	withMask := p.dropRate > 0 && !p.frozen
 	sl := &candSlot{
 		staticIdx: make([]int, 0, s),
 		hagg:      tensor.New(1, p.nViews*d),
 	}
 	if p.hasS || p.hasX {
-		sl.eS = tensor.New(s, d)
+		sl.eS = p.liveOnly(s, d)
 	}
 	if p.hasS {
 		sl.qs = tensor.New(s, d)
@@ -239,14 +254,18 @@ func (p *Plan) newSlot() *candSlot {
 		sl.ffnS = newFFNCache(L, d, p.useLN, withMask)
 	}
 	if p.hasX {
-		sl.qx = tensor.New(c, d)
-		sl.kx = tensor.New(c, d)
-		sl.vx = tensor.New(c, d)
+		rows := c
+		if p.frozen {
+			rows = s
+		}
+		sl.qx = tensor.New(rows, d)
+		sl.kx = tensor.New(rows, d)
+		sl.vx = tensor.New(rows, d)
 		sl.qxTop = tensor.FromSlice(s, d, sl.qx.Data[:s*d])
 		sl.kxTop = tensor.FromSlice(s, d, sl.kx.Data[:s*d])
 		sl.vxTop = tensor.FromSlice(s, d, sl.vx.Data[:s*d])
-		sl.ax = tensor.New(c, c)
-		sl.h0x = tensor.New(c, d)
+		sl.ax = p.liveOnly(c, c)
+		sl.h0x = p.liveOnly(c, d)
 		sl.ffnX = newFFNCache(L, d, p.useLN, withMask)
 	}
 	return sl
@@ -359,7 +378,7 @@ func (e *Exec) projectQKV(tab *projTable, idx []int, eIn *tensor.Matrix, w core.
 // a = softmax of the scaled score matrix plus mask, h0 = a·v. scores is
 // scratch; a and h0 are kept for the backward pass.
 func (e *Exec) attend(mask, q, k, v, scores, a, h0 *tensor.Matrix) {
-	maskedMatMulTInto(scores, q, k, mask)
+	tensor.MatMulTInto(scores, q, k, mask)
 	scores.ScaleInPlace(e.plan.invSqrtD)
 	tensor.SoftmaxRowsInto(a, scores, mask)
 	tensor.MatMulInto(h0, a, v)
@@ -426,41 +445,13 @@ func (e *Exec) beginDynamic(hist []int, training bool) {
 	}
 }
 
-// staticIndicesInto is feature.Space.StaticIndices into a reused slice,
-// preserving its validation panics.
-func staticIndicesInto(dst []int, sp feature.Space, inst feature.Instance) []int {
-	if inst.User < 0 || inst.User >= sp.NumUsers {
-		panic(fmt.Sprintf("feature: user %d outside [0,%d)", inst.User, sp.NumUsers))
-	}
-	if inst.Target < 0 || inst.Target >= sp.NumObjects {
-		panic(fmt.Sprintf("feature: target %d outside [0,%d)", inst.Target, sp.NumObjects))
-	}
-	dst = append(dst[:0], inst.User, sp.NumUsers+inst.Target)
-	off := sp.NumUsers + sp.NumObjects
-	if sp.NumUserAttrs > 0 {
-		if inst.UserAttr < 0 || inst.UserAttr >= sp.NumUserAttrs {
-			panic(fmt.Sprintf("feature: user attr %d outside [0,%d)", inst.UserAttr, sp.NumUserAttrs))
-		}
-		dst = append(dst, off+inst.UserAttr)
-		off += sp.NumUserAttrs
-	}
-	if sp.NumItemAttrs > 0 {
-		if inst.TargetAttr < 0 || inst.TargetAttr >= sp.NumItemAttrs {
-			panic(fmt.Sprintf("feature: target attr %d outside [0,%d)", inst.TargetAttr, sp.NumItemAttrs))
-		}
-		dst = append(dst, off+inst.TargetAttr)
-	}
-	return dst
-}
-
 // scoreCandidate attaches one candidate to the prepared dynamic state — the
 // compiled core.forwardCandidate. hS, when non-nil, is injected in place of
 // computing the static view (serving cache hit). It returns the raw score and
 // the freshly computed static-view vector (nil when injected or ablated).
 func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool, hS *tensor.Matrix) (float64, *tensor.Matrix) {
 	p := e.plan
-	sp := p.spec.Cfg.Space
-	sl.staticIdx = staticIndicesInto(sl.staticIdx, sp, inst)
+	sl.staticIdx = p.spec.Cfg.Space.StaticIndicesInto(sl.staticIdx, inst)
 
 	// Linear component, associated exactly as the tape: w0 + (Σw° + Σw·).
 	ws := p.spec.WStatic.Value
@@ -507,7 +498,7 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 		copy(sl.hagg.Data[off:off+d], hX.Data)
 	}
 
-	f := dotVec(p.spec.Proj.Value.Data, sl.hagg.Data)
+	f := tensor.DotVec(p.spec.Proj.Value.Data, sl.hagg.Data)
 	sl.score = linear + f
 	return sl.score, hSOut
 }

@@ -7,87 +7,36 @@ import (
 	"seqfm/internal/tensor"
 )
 
-// The kernels here complete tensor's Into-variants for the operations the
-// compiled forward and backward need without allocating. Each one reproduces,
-// for every value that can reach a score or a gradient, the IEEE operations
-// of the tensor kernel (or ag backward closure) it stands in for, in the same
-// order. Allowed: skipping an entry whose value is provably unobservable — an
-// additively −Inf-masked score (it becomes exp(−Inf) = +0 in the softmax, so
-// it cannot win the row maximum, adds +0 to the row sum, and is dropped by
-// the av == 0 guard of the a·v product), a gradient row nothing reads — and
-// never materialising a buffer that only held such entries. Not allowed:
-// anything that reassociates a sum — multiple accumulators, blocking or
-// unrolling a dot, pooling rows in another order, a narrower float type.
-// plan's parity tests compare bits, not tolerances.
-
-// matMulTInto computes dst = a·bᵀ, overwriting dst. Same per-element dot
-// association as tensor.MatMulT.
-func matMulTInto(dst, a, b *tensor.Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("plan: matMulTInto: dst %dx%d = %dx%d · (%dx%d)ᵀ",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = dotVec(arow, b.Row(j))
-		}
-	}
-}
-
-// maskedMatMulTInto computes dst = a·bᵀ like matMulTInto but skips every
-// entry whose additive softmax mask is −Inf, writing 0 instead. Masked
-// entries are unobservable, so this stays inside the parity contract:
-// SoftmaxRowsInto adds the mask before exponentiating, turning any finite
-// score there into exp(−Inf) = 0, and in the backward the matching dA entries
-// meet y = 0 in softmaxBackwardScaled, whose ±0 outputs are then dropped by
-// the av == 0 guards in the dS matmuls. Writing 0 (not stale data) keeps the
-// buffer finite so −Inf + score can never be NaN. nil mask means dense.
-func maskedMatMulTInto(dst, a, b, mask *tensor.Matrix) {
-	if mask == nil {
-		matMulTInto(dst, a, b)
-		return
-	}
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows || !dst.SameShape(mask) {
-		panic(fmt.Sprintf("plan: maskedMatMulTInto: dst %dx%d = %dx%d · (%dx%d)ᵀ under %dx%d mask",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols, mask.Rows, mask.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		mrow := mask.Row(i)
-		orow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			if mrow[j] != 0 {
-				orow[j] = 0
-				continue
-			}
-			orow[j] = dotVec(arow, b.Row(j))
-		}
-	}
-}
+// What is left here is specific to the compiled plan; every matmul is one of
+// internal/tensor's kernels, which the tape runs too. The package doc states
+// the contract: for every value that can reach a score or a gradient, the
+// IEEE operations of the tape path in the same order — independent elements
+// may be computed side by side and a row's terms added in fewer passes, but
+// no sum reassociated (no change to which partial sums an element's
+// additions combine). The one skip relied on below: an additively −Inf-masked
+// score is exp(−Inf) = +0 in the softmax — it cannot win the row maximum,
+// adds +0 to the row sum and is dropped by the a·v product's zero-coefficient
+// skip — and the masked MatMulTInto writes it as 0, not stale data, so
+// −Inf + score is never NaN. The parity tests compare bits, not tolerances.
 
 // addAttendedRows runs one block of masked attention without the mask: for
 // each query row q_i it attends the key rows [firstKey, k.Rows) — the block's
-// live entries — and adds softmax_j(scale·q_i·k_j)·v_j to pool. It is the
-// dense maskedMatMulTInto → ScaleInPlace → SoftmaxRowsInto → MatMulInto →
-// meanRowsInto chain restricted to entries the mask leaves open, and equal to
-// it bit for bit: a masked entry is exp(−Inf) = +0 there, which never wins
-// the row maximum, leaves the row sum unchanged when added in column order,
-// and is skipped by MatMulInto's av == 0 guard (kept here for live weights
-// that underflow to 0); a row with no live key is a zero row, and adding +0
-// to a pooled sum that started at +0 changes nothing. w (≥ k.Rows) and
-// h (q.Cols) are scratch.
+// live entries — and adds softmax_j(scale·q_i·k_j)·v_j to pool. It equals the
+// dense masked MatMulTInto → ScaleInPlace → SoftmaxRowsInto → MatMulInto →
+// meanRowsInto chain bit for bit: a masked entry is +0 there (see above), a
+// live weight that underflows to 0 is skipped by AddScaledRows as MatMulInto
+// would, and a row with no live key adds +0 to a pooled sum that started at
+// +0. w (≥ k.Rows) and h (q.Cols) are scratch.
 func addAttendedRows(pool []float64, q, k, v *tensor.Matrix, firstKey int, scale float64, w, h []float64) {
 	if q.Cols != k.Cols || k.Rows != v.Rows || len(pool) != v.Cols || len(h) != v.Cols || len(w) < k.Rows {
 		panic(fmt.Sprintf("plan: addAttendedRows: q %dx%d, k %dx%d, v %dx%d, pool %d, scratch %d/%d",
 			q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols, len(pool), len(w), len(h)))
 	}
 	for i := 0; i < q.Rows; i++ {
-		qrow := q.Row(i)
+		tensor.DotRows(w, q.Row(i), k, firstKey)
 		max := math.Inf(-1)
 		for j := firstKey; j < k.Rows; j++ {
-			s := dotVec(qrow, k.Row(j)) * scale
+			s := w[j] * scale
 			w[j] = s
 			if s > max {
 				max = s
@@ -103,99 +52,15 @@ func addAttendedRows(pool []float64, q, k, v *tensor.Matrix, firstKey int, scale
 			sum += e
 		}
 		inv := 1.0 / sum
-		clear(h)
 		for j := firstKey; j < k.Rows; j++ {
-			av := w[j] * inv
-			if av == 0 {
-				continue
-			}
-			for t, bv := range v.Row(j) {
-				h[t] += av * bv
-			}
+			w[j] *= inv
 		}
+		clear(h)
+		tensor.AddScaledRows(h, w, v, firstKey)
 		for t, hv := range h {
 			pool[t] += hv
 		}
 	}
-}
-
-// tMatMulInto computes dst = aᵀ·b, overwriting dst. Same loop order as
-// tensor.TMatMul.
-func tMatMulInto(dst, a, b *tensor.Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("plan: tMatMulInto: dst %dx%d = (%dx%d)ᵀ · %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst.Zero()
-	addTMatMul(dst, a, b)
-}
-
-// addTMatMul accumulates dst += aᵀ·b — the weight-gradient kernel
-// (dW += inᵀ·dOut), matching tensor.TMatMul's loop order.
-func addTMatMul(dst, a, b *tensor.Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("plan: addTMatMul: dst %dx%d += (%dx%d)ᵀ · %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// addMatMulT accumulates dst += a·bᵀ — the input-gradient kernel
-// (dIn += dOut·Wᵀ), matching tensor.MatMulT's per-element dot.
-func addMatMulT(dst, a, b *tensor.Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("plan: addMatMulT: dst %dx%d += %dx%d · (%dx%d)ᵀ",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] += dotVec(arow, b.Row(j))
-		}
-	}
-}
-
-// addMatMulTFrom is addMatMulT restricted to dst rows [fromRow, Rows) — the
-// input-gradient kernel for buffers whose leading rows are dead. The history
-// pad rows sit at the front of the dynamic block (feature.Space.PadHist), and
-// Backward's embedding scatter drops every padded index, so the pad rows of
-// deD are written but never read; skipping them cuts padCount·d² multiplies
-// per projection without touching any observable gradient.
-func addMatMulTFrom(dst, a, b *tensor.Matrix, fromRow int) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("plan: addMatMulTFrom: dst %dx%d += %dx%d · (%dx%d)ᵀ",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for i := fromRow; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] += dotVec(arow, b.Row(j))
-		}
-	}
-}
-
-// dotVec is tensor's dot: a single sequential accumulator, kept that way for
-// bit parity with the tape path.
-func dotVec(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // meanRowsInto replicates tensor.MeanRows into dst (1×cols): column sums
@@ -230,9 +95,7 @@ func gatherRows(dst, table *tensor.Matrix, idx []int) {
 	for i, ix := range idx {
 		row := dst.Row(i)
 		if ix < 0 {
-			for j := range row {
-				row[j] = 0
-			}
+			clear(row)
 			continue
 		}
 		if ix >= table.Rows {
@@ -254,10 +117,7 @@ func softmaxBackwardScaled(dst, y, dy *tensor.Matrix, scale float64) {
 	for i := 0; i < y.Rows; i++ {
 		yr := y.Row(i)
 		dyr := dy.Row(i)
-		dotRow := 0.0
-		for j, yj := range yr {
-			dotRow += dyr[j] * yj
-		}
+		dotRow := tensor.DotVec(dyr, yr)
 		dr := dst.Row(i)
 		for j, yj := range yr {
 			dr[j] = scale * (yj * (dyr[j] - dotRow))

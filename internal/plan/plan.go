@@ -16,16 +16,18 @@
 //   - Forward values are bit-identical to the tape path, so Score,
 //     PrecomputeDynamic and ScoreFast agree with core's tape implementations
 //     bit for bit — a compiled serving generation can consume a tape-built
-//     DynState and vice versa. What the compiled forward may do is whatever
-//     leaves every IEEE operation that reaches the score, and its order,
-//     unchanged: drop dispatch, closures and allocation; skip work whose
-//     result is provably unobservable (entries an additive −Inf mask turns
-//     into exp(−Inf) = +0, which neither win a row maximum nor move a row
-//     sum; a·v terms MatMulInto's av == 0 guard already skips); and compute
-//     a value once instead of many times when its inputs cannot change (a
-//     frozen plan's projected rows, see below). What it may not do is
-//     reassociate a sum: no multi-accumulator or blocked dot/matmul, no
-//     reordered pooling, no narrower float type.
+//     DynState and vice versa. The compiled forward may do whatever leaves
+//     every IEEE operation that reaches the score, and its order, unchanged:
+//     drop dispatch, closures and allocation; skip work whose result is
+//     provably unobservable (entries an additive −Inf mask turns into +0;
+//     a·v terms the kernels' zero-coefficient guard already skips); compute a
+//     value once when its inputs cannot change (a frozen plan's projected
+//     rows); compute independent output elements side by side, or add the
+//     same terms to an element in the same order in fewer passes (tensor's
+//     kernels, shared with the tape). It may not reassociate a sum — change
+//     which partial sums an element's additions combine: no second
+//     accumulator for one dot, no blocked or reordered k loop, no reordered
+//     pooling — nor narrow the float type.
 //   - A plan is live or frozen. For returns a live plan: it aliases the
 //     model's parameter matrices and recomputes every projection on every
 //     pass, so it always scores the weights the model holds now — training,
@@ -195,9 +197,6 @@ func Frozen(m any) (*Plan, error) {
 // should not.
 func (p *Plan) Get() *Exec  { return p.pool.Get().(*Exec) }
 func (p *Plan) Put(e *Exec) { p.pool.Put(e) }
-
-// Views returns the number of active attention views.
-func (p *Plan) Views() int { return p.nViews }
 
 // Sigmoid is the numerically-stable logistic function, the same branch
 // structure the tape's Softplus derivative uses — exported so the compiled

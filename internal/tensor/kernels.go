@@ -1,0 +1,251 @@
+package tensor
+
+import "fmt"
+
+// The repository's one set of matmul kernels: every a·b, aᵀ·b and a·bᵀ of the
+// model, the tape and the compiled plan ends in one of two loop families.
+// Neither reassociates — no output element's additions combine other partial
+// sums, or in another order, than the textbook loop's — so the tape stays the
+// plan's bit-for-bit oracle (argument: DESIGN.md §15 "Kernels"):
+//
+//   - Dot form (a·bᵀ): four output elements per pass over a's row, each with
+//     its own accumulator summed left to right like DotVec; being
+//     independent, their add chains overlap instead of queueing.
+//   - Axpy form (a·b, aᵀ·b): k in order, c_k == 0 skipped as the textbook
+//     loop skips it, four surviving terms added to d[j] per pass — the same
+//     additions in the same order, d[j] loaded and stored once, not four times.
+//
+// Every step is written acc + x*y, so a compiler that fuses multiply-add
+// (arm64) fuses these and the reference loops of kernels_test.go alike.
+// internal/index keeps its own four-accumulator dot: it reassociates, under
+// index's recall contract rather than this one.
+
+// tile is the number of output elements (dot form) or k terms (axpy form) one
+// pass covers. Eight measured slower: the sums no longer fit 16 registers.
+const tile = 4
+
+// DotVec returns Σ a[i]·b[i] with a single accumulator, left to right — the
+// one sequential dot of the model code.
+func DotVec(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i, v := range a {
+		s = s + v*b[i]
+	}
+	return s
+}
+
+// dot4 is four DotVecs of a, against b0…b3, side by side.
+func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		s0 = s0 + v*b0[i]
+		s1 = s1 + v*b1[i]
+		s2 = s2 + v*b2[i]
+		s3 = s3 + v*b3[i]
+	}
+	return
+}
+
+// dotRows sets out[j] (add: adds to out[j]) the dot of a with row j of the
+// len(a)-wide rows packed in b, four live rows at a time and the last one to
+// three one by one. A row whose mask entry is non-zero is not computed and
+// gets 0; nil mask means all live.
+func dotRows(out, a, b, mask []float64, add bool) {
+	d := len(a)
+	var live [tile]int
+	n := 0
+	for j := range out {
+		if mask != nil && mask[j] != 0 {
+			out[j] = 0
+			continue
+		}
+		live[n] = j
+		n++
+		if n < tile {
+			continue
+		}
+		n = 0
+		j0, j1, j2, j3 := live[0], live[1], live[2], live[3]
+		s0, s1, s2, s3 := dot4(a, b[j0*d:], b[j1*d:], b[j2*d:], b[j3*d:])
+		if add {
+			s0, s1, s2, s3 = out[j0]+s0, out[j1]+s1, out[j2]+s2, out[j3]+s3
+		}
+		out[j0], out[j1], out[j2], out[j3] = s0, s1, s2, s3
+	}
+	for _, j := range live[:n] {
+		s := DotVec(a, b[j*d:])
+		if add {
+			s = out[j] + s
+		}
+		out[j] = s
+	}
+}
+
+// axpy adds the n ≤ tile terms c[i]·r[i] to d in one pass, in order; lanes
+// from n on must hold some slice no shorter than d and are not read. It stays
+// out of line: inlined into axpyRows the loop counter spills to the stack and
+// every iteration waits on the reload.
+//
+//go:noinline
+func axpy(d []float64, n int, c *[tile]float64, r *[tile][]float64) {
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	b0, b1, b2, b3 := r[0][:len(d)], r[1][:len(d)], r[2][:len(d)], r[3][:len(d)]
+	switch n {
+	case 1:
+		for j := range d {
+			d[j] = d[j] + c0*b0[j]
+		}
+	case 2:
+		for j := range d {
+			d[j] = (d[j] + c0*b0[j]) + c1*b1[j]
+		}
+	case 3:
+		for j := range d {
+			d[j] = ((d[j] + c0*b0[j]) + c1*b1[j]) + c2*b2[j]
+		}
+	case 4:
+		for j := range d {
+			d[j] = (((d[j] + c0*b0[j]) + c1*b1[j]) + c2*b2[j]) + c3*b3[j]
+		}
+	}
+}
+
+// axpyRows adds Σ_k c_k·b_k to d for k = 0…rows−1 in order, where
+// c_k = coef[k·stride] and b_k is row k of the len(d)-wide rows packed in b.
+// Terms with c_k == 0 are skipped, not added; the rest go in fused passes of
+// four, and what is left over in one pass of one, two or three.
+func axpyRows(d, coef []float64, stride int, b []float64, rows int) {
+	w := len(d)
+	var c [tile]float64
+	r := [tile][]float64{d, d, d, d}
+	n := 0
+	for k := 0; k < rows; k++ {
+		cv := coef[k*stride]
+		if cv == 0 {
+			continue
+		}
+		c[n], r[n] = cv, b[k*w:]
+		n++
+		if n == tile {
+			axpy(d, n, &c, &r)
+			n = 0
+		}
+	}
+	if n > 0 {
+		axpy(d, n, &c, &r)
+	}
+}
+
+// sameStart reports whether x and y begin at the same element.
+func sameStart(x, y []float64) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
+
+// checkKernel panics on mismatched shapes and on a dst that starts where an
+// input does: the kernels write dst while they still read a and b.
+func checkKernel(op string, shapesOK bool, dst, a, b *Matrix) {
+	if !shapesOK {
+		panic(fmt.Sprintf("tensor: %s: dst %dx%d from a %dx%d, b %dx%d",
+			op, dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if sameStart(dst.Data, a.Data) || sameStart(dst.Data, b.Data) {
+		panic("tensor: " + op + ": dst aliases an input")
+	}
+}
+
+// MatMul returns a·b. a is r×k, b is k×c, the result is r×c.
+func MatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulInto computes dst = a·b without allocating. dst must be a.Rows×b.Cols
+// and is overwritten. Row i of dst depends on row i of a alone.
+func MatMulInto(dst, a, b *Matrix) {
+	checkKernel("MatMulInto", a.Cols == b.Rows && dst.Rows == a.Rows && dst.Cols == b.Cols, dst, a, b)
+	dst.Zero()
+	for i := 0; i < a.Rows; i++ {
+		axpyRows(dst.Row(i), a.Row(i), 1, b.Data, b.Rows)
+	}
+}
+
+// TMatMul returns aᵀ·b. a is k×r, b is k×c, the result is r×c.
+func TMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	AddTMatMul(out, a, b)
+	return out
+}
+
+// TMatMulInto computes dst = aᵀ·b, overwriting dst.
+func TMatMulInto(dst, a, b *Matrix) {
+	dst.Zero()
+	AddTMatMul(dst, a, b)
+}
+
+// AddTMatMul accumulates dst += aᵀ·b — the weight-gradient kernel
+// (dW += inᵀ·dOut). Element (i,j) receives a[k][i]·b[k][j] for k ascending.
+func AddTMatMul(dst, a, b *Matrix) {
+	checkKernel("AddTMatMul", a.Rows == b.Rows && dst.Rows == a.Cols && dst.Cols == b.Cols, dst, a, b)
+	for i := 0; i < a.Cols && a.Rows > 0; i++ {
+		axpyRows(dst.Row(i), a.Data[i:], a.Cols, b.Data, b.Rows)
+	}
+}
+
+// MatMulT returns a·bᵀ. a is r×k, b is c×k, the result is r×c. bᵀ is never
+// materialised: each output element is a dot of two contiguous rows.
+func MatMulT(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	MatMulTInto(out, a, b, nil)
+	return out
+}
+
+// MatMulTInto computes dst = a·bᵀ, overwriting dst. Under a non-nil mask
+// (dst's shape; the additive 0/−Inf softmax masks) an entry whose mask is
+// non-zero is not computed and is written as 0.
+func MatMulTInto(dst, a, b, mask *Matrix) {
+	checkKernel("MatMulTInto", a.Cols == b.Cols && dst.Rows == a.Rows && dst.Cols == b.Rows &&
+		(mask == nil || dst.SameShape(mask)), dst, a, b)
+	for i := 0; i < a.Rows; i++ {
+		var mrow []float64
+		if mask != nil {
+			mrow = mask.Row(i)
+		}
+		dotRows(dst.Row(i), a.Row(i), b.Data, mrow, false)
+	}
+}
+
+// AddMatMulT accumulates rows [fromRow, Rows) of dst += a·bᵀ — the
+// input-gradient kernel (dIn += dOut·Wᵀ); rows before fromRow are left alone.
+func AddMatMulT(dst, a, b *Matrix, fromRow int) {
+	checkKernel("AddMatMulT", a.Cols == b.Cols && dst.Rows == a.Rows && dst.Cols == b.Rows && fromRow >= 0, dst, a, b)
+	for i := fromRow; i < a.Rows; i++ {
+		dotRows(dst.Row(i), a.Row(i), b.Data, nil, true)
+	}
+}
+
+// DotRows sets dst[j] = a·b.Row(j) for j in [from, b.Rows).
+func DotRows(dst, a []float64, b *Matrix, from int) {
+	if len(a) != b.Cols || len(dst) < b.Rows || from < 0 || from > b.Rows || sameStart(dst, a) || sameStart(dst, b.Data) {
+		panic(fmt.Sprintf("tensor: DotRows: %d-vector · rows [%d,%d) of %d cols into %d, or dst aliases an input",
+			len(a), from, b.Rows, b.Cols, len(dst)))
+	}
+	dotRows(dst[from:b.Rows], a, b.Data[from*b.Cols:], nil, false)
+}
+
+// AddScaledRows accumulates dst += Σ_j coef[j]·b.Row(j) for j in
+// [from, b.Rows) in order, skipping zero coefficients.
+func AddScaledRows(dst, coef []float64, b *Matrix, from int) {
+	if len(dst) != b.Cols || len(coef) < b.Rows || from < 0 || from > b.Rows || sameStart(dst, coef) || sameStart(dst, b.Data) {
+		panic(fmt.Sprintf("tensor: AddScaledRows: %d coefficients · rows [%d,%d) of %d cols into %d, or dst aliases an input",
+			len(coef), from, b.Rows, b.Cols, len(dst)))
+	}
+	axpyRows(dst, coef[from:], 1, b.Data[from*b.Cols:], b.Rows-from)
+}
+
+// Dot returns the inner product of two equal-length row vectors.
+func Dot(a, b *Matrix) float64 {
+	if a.Rows != 1 || b.Rows != 1 || a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: Dot: %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	return DotVec(a.Data, b.Data)
+}

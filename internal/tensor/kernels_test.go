@@ -1,0 +1,364 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The ref* functions are the loops kernels.go replaced, kept verbatim as the
+// oracle: one accumulator per dot, one axpy pass per k term. Every exported
+// kernel must reproduce their output bit for bit.
+
+func refDot(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// refAddMatMul is dst += a·b; on a zeroed dst it is the old MatMulInto.
+func refAddMatMul(dst, a, b *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+// refAddTMatMul is dst += aᵀ·b in the old k-outer order.
+func refAddTMatMul(dst, a, b *Matrix) {
+	for k := 0; k < a.Rows; k++ {
+		brow := b.Row(k)
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			orow := dst.Row(i)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// refMatMulT is the old matMulTInto / maskedMatMulTInto (add false) and
+// addMatMulTFrom (add true, mask nil) in one.
+func refMatMulT(dst, a, b, mask *Matrix, fromRow int, add bool) {
+	for i := fromRow; i < a.Rows; i++ {
+		orow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			switch {
+			case mask != nil && mask.At(i, j) != 0:
+				orow[j] = 0
+			case add:
+				orow[j] += refDot(a.Row(i), b.Row(j))
+			default:
+				orow[j] = refDot(a.Row(i), b.Row(j))
+			}
+		}
+	}
+}
+
+// sameBits fails unless got and want agree element by element in their bit
+// patterns (any NaN matches any NaN: payloads follow operand order, which the
+// compiler picks).
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// salted is a random rows×cols matrix in which about a quarter of the entries
+// are exact zeros of either sign, so the zero-skip path and −0 + +0 are hit.
+func salted(rng *rand.Rand, rows, cols int) *Matrix {
+	m := randomMat(rng, rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(8) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return m
+}
+
+// poisonRow fills row k of b with ±Inf and NaN; the caller zeroes the
+// coefficients that would multiply it, so a correct kernel never reads it.
+func poisonRow(b *Matrix, k int) {
+	for j, row := 0, b.Row(k); j < len(row); j++ {
+		row[j] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[j%3]
+	}
+}
+
+// tailSizes covers every remainder of the tile width, the static side's 1 and
+// 2 rows, and the model's 20 and 64.
+var tailSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 64}
+
+func TestAxpyKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range []int{0, 1, 2, 3, 5} {
+		for _, k := range tailSizes {
+			for _, c := range []int{0, 1, 3, 8, 64} {
+				name := fmt.Sprintf("%dx%d·%dx%d", r, k, k, c)
+				a, b := salted(rng, r, k), salted(rng, k, c)
+				if k > 2 { // an all-zero coefficient column over a poisoned row
+					for i := 0; i < r; i++ {
+						a.Set(i, 1, math.Copysign(0, float64(i%2)-0.5))
+					}
+					poisonRow(b, 1)
+				}
+				want := New(r, c)
+				refAddMatMul(want, a, b)
+				got := salted(rng, r, c) // MatMulInto must overwrite
+				MatMulInto(got, a, b)
+				sameBits(t, "MatMulInto "+name, got.Data, want.Data)
+				sameBits(t, "MatMul "+name, MatMul(a, b).Data, want.Data)
+
+				// aᵀ·b with a stored k×r: same coefficients, strided.
+				at := a.T()
+				init := salted(rng, r, c)
+				want = init.Clone()
+				refAddTMatMul(want, at, b)
+				got = init.Clone()
+				AddTMatMul(got, at, b)
+				sameBits(t, "AddTMatMul "+name, got.Data, want.Data)
+				want.Zero()
+				refAddTMatMul(want, at, b)
+				TMatMulInto(got, at, b)
+				sameBits(t, "TMatMulInto "+name, got.Data, want.Data)
+				sameBits(t, "TMatMul "+name, TMatMul(at, b).Data, want.Data)
+
+				// One row of coefficients from an offset.
+				for _, from := range []int{0, 1, 3} {
+					if from > k || r == 0 {
+						continue
+					}
+					coef := a.Row(0)
+					init := salted(rng, 1, c)
+					want, got := init.Clone(), init.Clone()
+					refAddMatMul(want, FromSlice(1, k-from, coef[from:]), FromSlice(k-from, c, b.Data[from*c:]))
+					AddScaledRows(got.Data, coef, b, from)
+					sameBits(t, fmt.Sprintf("AddScaledRows %s from %d", name, from), got.Data, want.Data)
+				}
+			}
+		}
+	}
+}
+
+// maskLeaving returns an r×c additive mask whose row i leaves live[i%len]
+// columns open (capped at c), scattered rather than contiguous.
+func maskLeaving(rng *rand.Rand, r, c int, live []int) *Matrix {
+	m := New(r, c)
+	for i := 0; i < r; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = math.Inf(-1)
+		}
+		for _, j := range rng.Perm(c)[:min(live[i%len(live)], c)] {
+			row[j] = 0
+		}
+	}
+	return m
+}
+
+func TestDotKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, r := range []int{0, 1, 2, 6} {
+		for _, c := range tailSizes {
+			for _, k := range []int{0, 1, 3, 8, 64} {
+				name := fmt.Sprintf("%dx%d·(%dx%d)ᵀ", r, k, c, k)
+				a, b := salted(rng, r, k), salted(rng, c, k)
+				want, got := salted(rng, r, c), salted(rng, r, c) // overwritten
+				refMatMulT(want, a, b, nil, 0, false)
+				MatMulTInto(got, a, b, nil)
+				sameBits(t, "MatMulTInto "+name, got.Data, want.Data)
+				sameBits(t, "MatMulT "+name, MatMulT(a, b).Data, want.Data)
+
+				mask := maskLeaving(rng, r, c, []int{0, 1, 3, 4, 5, c})
+				refMatMulT(want, a, b, mask, 0, false)
+				MatMulTInto(got, a, b, mask)
+				sameBits(t, "masked MatMulTInto "+name, got.Data, want.Data)
+
+				for _, from := range []int{0, 1, 4} {
+					if from > r {
+						continue
+					}
+					init := salted(rng, r, c)
+					want, got := init.Clone(), init.Clone()
+					refMatMulT(want, a, b, nil, from, true)
+					AddMatMulT(got, a, b, from)
+					sameBits(t, fmt.Sprintf("AddMatMulT %s from %d", name, from), got.Data, want.Data)
+				}
+				for _, from := range []int{0, 1, 3} {
+					if from > c || r == 0 {
+						continue
+					}
+					init := salted(rng, 1, c)
+					want, got := init.Clone(), init.Clone()
+					for j := from; j < c; j++ {
+						want.Data[j] = refDot(a.Row(0), b.Row(j))
+					}
+					DotRows(got.Data, a.Row(0), b, from)
+					sameBits(t, fmt.Sprintf("DotRows %s from %d", name, from), got.Data, want.Data)
+				}
+			}
+		}
+	}
+}
+
+func TestDotVecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range tailSizes {
+		a, b := salted(rng, 1, n), salted(rng, 1, n)
+		if got, want := DotVec(a.Data, b.Data), refDot(a.Data, b.Data); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DotVec over %d: %v, want %v", n, got, want)
+		}
+		if got, want := Dot(a, b), refDot(a.Data, b.Data); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Dot over %d: %v, want %v", n, got, want)
+		}
+	}
+}
+
+// Every kernel writes dst while it still reads its inputs, so a dst that
+// starts where an input does must panic instead of computing garbage
+// (MatMulInto(x, x, w) used to return zeros).
+func TestKernelsRejectAliasedDst(t *testing.T) {
+	x, y := New(4, 4).Fill(1), New(4, 4).Fill(2)
+	for name, f := range map[string]func(){
+		"MatMulInto/a":    func() { MatMulInto(x, x, y) },
+		"MatMulInto/b":    func() { MatMulInto(x, y, x) },
+		"TMatMulInto/a":   func() { TMatMulInto(x, x, y) },
+		"TMatMulInto/b":   func() { TMatMulInto(x, y, x) },
+		"AddTMatMul/a":    func() { AddTMatMul(x, x, y) },
+		"AddTMatMul/b":    func() { AddTMatMul(x, y, x) },
+		"MatMulTInto/a":   func() { MatMulTInto(x, x, y, nil) },
+		"MatMulTInto/b":   func() { MatMulTInto(x, y, x, nil) },
+		"AddMatMulT/a":    func() { AddMatMulT(x, x, y, 0) },
+		"AddMatMulT/b":    func() { AddMatMulT(x, y, x, 0) },
+		"DotRows/a":       func() { DotRows(x.Row(0), x.Row(0), y, 0) },
+		"DotRows/b":       func() { DotRows(x.Row(0), y.Row(0), x, 0) },
+		"AddScaledRows/a": func() { AddScaledRows(x.Row(0), x.Row(0), y, 0) },
+		"AddScaledRows/b": func() { AddScaledRows(x.Row(0), y.Row(0), x, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic on aliased dst")
+				}
+			}()
+			f()
+		})
+	}
+	MatMulTInto(New(4, 4), x, x, nil) // inputs may alias each other
+}
+
+// fuzzValues are what one corpus byte can become besides a small dyadic
+// rational: the zeros the skip path keys on and the values that would poison
+// a sum the skip failed to make.
+var fuzzValues = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, math.MaxFloat64, 1e-300, 1 + 0x1p-52, 1.0 / 3}
+
+// byteReader hands out the fuzz input one byte at a time, wrapping around.
+type byteReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *byteReader) next() byte {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[r.pos%len(r.data)]
+	r.pos++
+	return b
+}
+
+func (r *byteReader) matrix(rows, cols int) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		if b := r.next(); int(b) < 4*len(fuzzValues) {
+			m.Data[i] = fuzzValues[int(b)%len(fuzzValues)]
+		} else {
+			m.Data[i] = float64(int8(b)) / 16 * float64(1+r.next()%3)
+		}
+	}
+	return m
+}
+
+// FuzzKernelsMatchReference draws three shapes, a row offset, a mask and all
+// values from the input bytes and holds every kernel to its reference loop.
+func FuzzKernelsMatchReference(f *testing.F) {
+	f.Add([]byte{2, 64, 20, 0, 200, 100, 50, 25, 12, 6, 3, 1})
+	f.Add([]byte{5, 3, 7, 2, 0, 1, 2, 3, 4, 255, 254, 128, 127, 60, 61})
+	f.Add([]byte{1, 1, 1, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &byteReader{data: data}
+		r, k, c := int(in.next()%10), int(in.next()%13), int(in.next()%13)
+		from := 0
+		if r > 0 {
+			from = int(in.next()) % (r + 1)
+		}
+		a, b, bt, init := in.matrix(r, k), in.matrix(k, c), in.matrix(c, k), in.matrix(r, c)
+		mask := New(r, c)
+		for i := range mask.Data {
+			if in.next()%2 == 1 {
+				mask.Data[i] = math.Inf(-1)
+			}
+		}
+
+		want, got := init.Clone().Zero(), init.Clone()
+		refAddMatMul(want, a, b)
+		MatMulInto(got, a, b)
+		sameBits(t, "MatMulInto", got.Data, want.Data)
+
+		at := a.T()
+		want, got = init.Clone(), init.Clone()
+		refAddTMatMul(want, at, b)
+		AddTMatMul(got, at, b)
+		sameBits(t, "AddTMatMul", got.Data, want.Data)
+
+		want, got = init.Clone(), init.Clone()
+		refMatMulT(want, a, bt, mask, 0, false)
+		MatMulTInto(got, a, bt, mask)
+		sameBits(t, "masked MatMulTInto", got.Data, want.Data)
+
+		want, got = init.Clone(), init.Clone()
+		refMatMulT(want, a, bt, nil, from, true)
+		AddMatMulT(got, a, bt, from)
+		sameBits(t, "AddMatMulT", got.Data, want.Data)
+
+		if r > 0 {
+			rowFrom := from % (c + 1)
+			want, got = New(1, c), New(1, c)
+			for j := rowFrom; j < c; j++ {
+				want.Data[j] = refDot(a.Row(0), bt.Row(j))
+			}
+			DotRows(got.Data, a.Row(0), bt, rowFrom)
+			sameBits(t, "DotRows", got.Data, want.Data)
+
+			rowFrom = from % (k + 1)
+			want, got = init.Clone(), init.Clone()
+			refAddMatMul(FromSlice(1, c, want.Row(0)), FromSlice(1, k-rowFrom, a.Row(0)[rowFrom:]), FromSlice(k-rowFrom, c, b.Data[rowFrom*c:]))
+			AddScaledRows(got.Row(0), a.Row(0), b, rowFrom)
+			sameBits(t, "AddScaledRows", got.Data, want.Data)
+		}
+	})
+}

@@ -5,99 +5,6 @@ import (
 	"math"
 )
 
-// MatMul returns a·b. a is r×k, b is k×c, the result is r×c.
-//
-// The kernel iterates the inner dimension in the middle loop so the innermost
-// loop walks both the output row and the b row contiguously — the standard
-// cache-friendly ikj ordering.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul: %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a·b without allocating. dst must be a.Rows×b.Cols
-// and is overwritten.
-func MatMulInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto: dst %dx%d = %dx%d · %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulT returns a·bᵀ. a is r×k, b is c×k, the result is r×c.
-// This variant avoids materialising bᵀ — each output element is a dot
-// product of two contiguous rows.
-func MatMulT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT: %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = dot(arow, b.Row(j))
-		}
-	}
-	return out
-}
-
-// TMatMul returns aᵀ·b. a is k×r, b is k×c, the result is r×c.
-func TMatMul(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: TMatMul: (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Dot returns the inner product of two equal-length row vectors.
-func Dot(a, b *Matrix) float64 {
-	if a.Rows != 1 || b.Rows != 1 || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: Dot: %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	return dot(a.Data, b.Data)
-}
-
 // Add returns a + b element-wise.
 func Add(a, b *Matrix) *Matrix {
 	a.sameShape(b, "Add")
@@ -200,21 +107,12 @@ func Mean(m *Matrix) float64 {
 	return Sum(m) / float64(len(m.Data))
 }
 
-// MeanRows returns the 1×c column-wise mean of an r×c matrix.
+// MeanRows returns the 1×c column-wise mean of an r×c matrix: the column
+// sums in row order, then one scaling by 1/r (zeros for r = 0).
 func MeanRows(m *Matrix) *Matrix {
-	out := New(1, m.Cols)
-	if m.Rows == 0 {
-		return out
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	inv := 1.0 / float64(m.Rows)
-	for j := range out.Data {
-		out.Data[j] *= inv
+	out := SumRows(m)
+	if m.Rows > 0 {
+		out.ScaleInPlace(1.0 / float64(m.Rows))
 	}
 	return out
 }
@@ -259,9 +157,7 @@ func SoftmaxRowsInto(dst, src, mask *Matrix) {
 			}
 		}
 		if math.IsInf(max, -1) {
-			for j := range drow {
-				drow[j] = 0
-			}
+			clear(drow)
 			continue
 		}
 		sum := 0.0

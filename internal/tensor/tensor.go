@@ -113,9 +113,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 
 // Zero resets every element to 0 and returns m.
 func (m *Matrix) Zero() *Matrix {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
+	clear(m.Data)
 	return m
 }
 
