@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -460,5 +460,13 @@ func (h *candQueue) pop() cand {
 // sortCands orders candidates best-first (descending similarity, ties by
 // ascending id).
 func sortCands(cs []cand) {
-	sort.Slice(cs, func(i, j int) bool { return better(cs[i], cs[j]) })
+	slices.SortFunc(cs, func(a, b cand) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
+		}
+		return 0
+	})
 }

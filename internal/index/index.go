@@ -35,9 +35,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Backend selects the retrieval implementation behind New.
@@ -272,10 +273,10 @@ func dot(a, b []float64) float64 {
 // sortResults orders results by descending similarity, ties by ascending
 // id, so every backend's output is deterministic and directly comparable.
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return rs[i].ID < rs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }

@@ -56,9 +56,8 @@ func newFFNCache(layers, d int, useLN bool, withMask bool) ffnCache {
 // candSlot holds the candidate-dependent forward state of one scored
 // candidate, kept around so the backward pass can consume it. Inference
 // forwards reuse slot 0 for every candidate and fill only what they read: of
-// the cross-view buffers only the static row-blocks (qxTop/kxTop/vxTop) are
-// written. A frozen plan's slots have no eS, ax or h0x, and their qx/kx/vx
-// are just those row-blocks (newSlot).
+// the cross-view buffers only ffnX — the per-row state lives in Exec.xrows. A
+// frozen plan's slots have no eS and no cross-view matrices at all.
 type candSlot struct {
 	staticIdx  []int
 	eS         *tensor.Matrix // s×d static embedding rows
@@ -68,13 +67,24 @@ type candSlot struct {
 	ffnS       ffnCache
 
 	qx, kx, vx          *tensor.Matrix // (s+n)×d full cross projections (training)
-	qxTop, kxTop, vxTop *tensor.Matrix // s×d views of the static row-blocks
+	qxTop, kxTop, vxTop *tensor.Matrix // s×d views of their static row-blocks
 	ax                  *tensor.Matrix // (s+n)² cross attention probabilities (training)
 	h0x                 *tensor.Matrix // (s+n)×d cross attention output (training)
 	ffnX                ffnCache
 
 	hagg  *tensor.Matrix // 1×(views·d) aggregated view vector
 	score float64
+}
+
+// crossRow is what static position p contributes to the inference cross view
+// under one dynamic phase — all of it a function of the static index and that
+// phase alone, so it is kept until either changes (Exec.crossRows).
+type crossRow struct {
+	idx int       // static index held, −1 when none
+	qkv []float64 // q_p|k_p|v_p: the frozen plan's table row in place, else buf
+	buf []float64 // 3d: a live plan's projections; a frozen one's row() scratch
+	att []float64 // d: A_p = Σ_j softmax_j(q_p·kD_j/√d)·vD_j over the live keys
+	col []float64 // n: c_p[i] = k_p·qD_i
 }
 
 // attnScratch is the per-shape backward scratch of one self-attention block.
@@ -118,9 +128,14 @@ type Exec struct {
 	ssS    *tensor.Matrix // s×s static-view pre-softmax scratch
 	sx     *tensor.Matrix // (s+n)² cross pre-softmax scratch (training)
 	scores []float64
-	// Block-form cross view (inference): one row of attention weights and one
-	// attended row at a time.
-	xw, xh []float64 // max(s,n) / d
+	// Per-row cross view (inference): xrows[p] memoises static position p
+	// under the dynamic phase xdyn — a ScoreFast caller's snapshot, held so its
+	// address cannot be reused while it keys the memo, or nil for the Exec's
+	// own buffers as beginDynamic last filled them.
+	xrows []crossRow
+	xdyn  *core.DynState
+	xv    [][]float64 // s: v_p of every position, for Σ_p w_p·v_p
+	xw    []float64   // max(s,n): one row of attention weights
 	// rowScratch is where a frozen plan's table computes a row another
 	// goroutine is mid-way through publishing (3d).
 	rowScratch []float64
@@ -193,8 +208,12 @@ func (p *Plan) NewExec() *Exec {
 		e.qDbuf = tensor.New(n, d)
 		e.kDbuf = tensor.New(n, d)
 		e.vDbuf = tensor.New(n, d)
+		e.xrows = make([]crossRow, s)
+		for i := range e.xrows {
+			e.xrows[i] = crossRow{idx: -1, buf: make([]float64, 3*d), att: make([]float64, d), col: make([]float64, n)}
+		}
+		e.xv = make([][]float64, s)
 		e.xw = make([]float64, max(s, n))
-		e.xh = make([]float64, d)
 		e.sx = p.liveOnly(c, c)
 		e.dh0x = p.liveOnly(c, d)
 		e.dax = p.liveOnly(c, c)
@@ -232,8 +251,7 @@ func (p *Plan) NewExec() *Exec {
 // not be shared with other Execs or tapes.
 func (e *Exec) SetRNG(rng *rand.Rand) { e.rng = rng }
 
-// newSlot allocates one candidate slot for the plan's active views. On a
-// frozen plan qx/kx/vx are just their static row-blocks.
+// newSlot allocates one candidate slot for the plan's active views.
 func (p *Plan) newSlot() *candSlot {
 	s, d, c := p.s, p.d, p.c
 	L := len(p.spec.FFN)
@@ -254,19 +272,17 @@ func (p *Plan) newSlot() *candSlot {
 		sl.ffnS = newFFNCache(L, d, p.useLN, withMask)
 	}
 	if p.hasX {
-		rows := c
-		if p.frozen {
-			rows = s
-		}
-		sl.qx = tensor.New(rows, d)
-		sl.kx = tensor.New(rows, d)
-		sl.vx = tensor.New(rows, d)
+		sl.ffnX = newFFNCache(L, d, p.useLN, withMask)
+	}
+	if p.hasX && !p.frozen {
+		sl.qx = tensor.New(c, d)
+		sl.kx = tensor.New(c, d)
+		sl.vx = tensor.New(c, d)
 		sl.qxTop = tensor.FromSlice(s, d, sl.qx.Data[:s*d])
 		sl.kxTop = tensor.FromSlice(s, d, sl.kx.Data[:s*d])
 		sl.vxTop = tensor.FromSlice(s, d, sl.vx.Data[:s*d])
-		sl.ax = p.liveOnly(c, c)
-		sl.h0x = p.liveOnly(c, d)
-		sl.ffnX = newFFNCache(L, d, p.useLN, withMask)
+		sl.ax = tensor.New(c, c)
+		sl.h0x = tensor.New(c, d)
 	}
 	return sl
 }
@@ -443,6 +459,15 @@ func (e *Exec) beginDynamic(hist []int, training bool) {
 	} else {
 		e.qD, e.kD, e.vD = nil, nil, nil
 	}
+	e.resetCross(nil)
+}
+
+// resetCross empties the cross-view memo and keys it on the dynamic phase st.
+func (e *Exec) resetCross(st *core.DynState) {
+	e.xdyn = st
+	for i := range e.xrows {
+		e.xrows[i].idx = -1
+	}
 }
 
 // scoreCandidate attaches one candidate to the prepared dynamic state — the
@@ -462,8 +487,9 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 	linear := p.spec.W0.Value.Data[0] + (gs + e.linD)
 
 	// A live plan projects the gathered static rows — one gather, shared by
-	// the static and cross views; a frozen plan reads its tables.
-	if !p.frozen && (p.hasX || (p.hasS && hS == nil)) {
+	// the static view and the training cross view; a frozen plan reads its
+	// tables, and the inference cross view projects row by row (crossRows).
+	if !p.frozen && ((p.hasX && training) || (p.hasS && hS == nil)) {
 		gatherRows(sl.eS, p.spec.EmbS.Value, sl.staticIdx)
 	}
 
@@ -486,13 +512,10 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 		off += d
 	}
 	if p.hasX {
-		// Static row-blocks per candidate; dynamic row-blocks from the shared
-		// phase — the row-split core.forwardCandidate records via ConcatRows.
-		e.projectQKV(p.tab.crossS, sl.staticIdx, sl.eS, p.spec.AttnX, sl.qxTop, sl.kxTop, sl.vxTop)
 		if training {
 			e.crossDense(sl)
 		} else {
-			e.crossBlocks(sl)
+			e.crossRows(sl)
 		}
 		hX := e.ffnForward(&sl.ffnX, training)
 		copy(sl.hagg.Data[off:off+d], hX.Data)
@@ -504,10 +527,13 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 }
 
 // crossDense is the training cross view: the (s+n)-row Q/K/V are assembled in
-// the slot and attended under the additive cross mask, leaving the
-// probabilities and the attention output where Backward reads them.
+// the slot — static row-blocks per candidate, dynamic row-blocks from the
+// shared phase, the row-split core.forwardCandidate records via ConcatRows —
+// and attended under the additive cross mask, leaving the probabilities and
+// the attention output where Backward reads them.
 func (e *Exec) crossDense(sl *candSlot) {
 	p := e.plan
+	e.projectQKV(nil, sl.staticIdx, sl.eS, p.spec.AttnX, sl.qxTop, sl.kxTop, sl.vxTop)
 	mask := p.spec.CrossMask
 	if p.maskPad {
 		mask = p.spec.CrossPad[e.padCount]
@@ -519,23 +545,62 @@ func (e *Exec) crossDense(sl *candSlot) {
 	meanRowsInto(sl.ffnX.h[0], sl.h0x)
 }
 
-// crossBlocks is the inference cross view: the same pooled attention output
-// as crossDense, bit for bit, from the two live blocks of the cross mask
-// alone. Static queries attend the dynamic keys (minus the padded head under
-// MaskPadding), then dynamic queries attend the static keys — the dense row
-// order, which is the order meanRowsInto pools in. qD/kD/vD are read where
-// they lie, in the Exec's buffers or the caller's DynState.
-func (e *Exec) crossBlocks(sl *candSlot) {
+// crossRows is the inference cross view: the same pooled attention output as
+// crossDense, bit for bit, from the live entries of the cross mask alone and
+// one static position at a time. Position p owes the pool its attended row
+// A_p over the dynamic keys (minus the padded head under MaskPadding) and, to
+// each dynamic query i, the score k_p·qD_i — taken as one DotRows of k_p
+// against qD, which is the dense qD_i·k_p with every product commuted and
+// every sum in its order. Both depend on the static index and the dynamic
+// phase alone, so a position whose index the previous candidate shared keeps
+// them. The pool then adds A_p in position order and the dynamic rows'
+// attended Σ_p w_p·v_p in row order — the dense row order meanRowsInto pools
+// in. qD/kD/vD are read where they lie, in the Exec's buffers or the caller's
+// DynState, and a frozen plan's q_p|k_p|v_p in its table.
+func (e *Exec) crossRows(sl *candSlot) {
 	p := e.plan
+	d := p.d
 	firstKey := 0
 	if p.maskPad {
 		firstKey = e.padCount
 	}
-	pool := sl.ffnX.h[0]
-	pool.Zero()
-	addAttendedRows(pool.Data, sl.qxTop, e.kD, e.vD, firstKey, p.invSqrtD, e.xw, e.xh)
-	addAttendedRows(pool.Data, e.qD, sl.kxTop, sl.vxTop, 0, p.invSqrtD, e.xw, e.xh)
-	pool.ScaleInPlace(1.0 / float64(p.c))
+	for pos, ix := range sl.staticIdx {
+		r := &e.xrows[pos]
+		if r.idx != ix {
+			r.idx = ix
+			if tab := p.tab.crossS; tab != nil {
+				r.qkv = tab.row(ix, r.buf)
+			} else {
+				r.qkv = r.buf
+				projectRow(r.buf, p.spec.EmbS.Value.Row(ix), p.spec.AttnX)
+			}
+			clear(r.att)
+			w := e.xw[:p.n]
+			tensor.DotRows(w, r.qkv[:d], e.kD, firstKey)
+			if softmaxScaled(w[firstKey:], p.invSqrtD) {
+				tensor.AddScaledRows(r.att, w, e.vD, firstKey)
+			}
+			tensor.DotRows(r.col, r.qkv[d:2*d], e.qD, 0)
+		}
+		e.xv[pos] = r.qkv[2*d:]
+	}
+	pool := sl.ffnX.h[0].Data
+	clear(pool)
+	for i := range e.xrows {
+		for t, v := range e.xrows[i].att[:len(pool)] {
+			pool[t] += v
+		}
+	}
+	w := e.xw[:p.s]
+	for i := 0; i < p.n; i++ {
+		for pos := range w {
+			w[pos] = e.xrows[pos].col[i]
+		}
+		if softmaxScaled(w, p.invSqrtD) {
+			tensor.AddScaledSum(pool, w, e.xv)
+		}
+	}
+	sl.ffnX.h[0].ScaleInPlace(1.0 / float64(p.c))
 }
 
 // Score runs the full compiled forward for one instance in inference mode —
@@ -613,6 +678,9 @@ func (e *Exec) ScoreFast(st *core.DynState, inst feature.Instance, hS *tensor.Ma
 	e.linD = parts.LinD
 	e.hD = parts.HD
 	e.qD, e.kD, e.vD = parts.QD, parts.KD, parts.VD
+	if st != e.xdyn {
+		e.resetCross(st)
+	}
 	e.ensureSlots(1)
 	score, hSOut := e.scoreCandidate(e.slots[0], inst, false, hS)
 	if hS == nil && hSOut != nil {

@@ -2,6 +2,8 @@ package plan_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"seqfm/internal/ag"
@@ -139,4 +141,186 @@ func TestFrozenPlanRejectsTraining(t *testing.T) {
 		}
 	}()
 	p.NewExec().Forward(candidateSet(1), true)
+}
+
+// TestCrossMemoMatchesFreshScore drives one Exec through every way its
+// cross-view memo (Exec.crossRows) can go stale and holds each score, bit for
+// bit, to a fresh Exec's Score and to the tape: candidate streams under one
+// DynState where the user or an attribute changes mid-stream, the same statics
+// under a second DynState and back, snapshots dropped and reallocated between
+// calls, PrecomputeDynamic / Score / Forward cutting in, and histories of every
+// pad count from all-padded to overfull — over inferenceMatrix, so n° ∈
+// {2,3,4} and MaskPadding both ways, on live and frozen plans.
+func TestCrossMemoMatchesFreshScore(t *testing.T) {
+	kinds := map[string]func(any) (*plan.Plan, error){"live": plan.For, "frozen": plan.Frozen}
+	hists := [][]int{nil, {8}, {3, 8}, {1, 7, 3}, {1, 2, 3, 4}, {0, 1, 2, 3, 4, 5, 6}}
+	for name, cfg := range inferenceMatrix() {
+		m, err := core.New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sp := cfg.Space
+		// statics: users and targets, and every attribute combination the
+		// space declares, ordered so consecutive entries share some static
+		// positions and differ in others.
+		var statics []feature.Instance
+		for k := 0; k < 12; k++ {
+			inst := matrixInstance(sp, nil)
+			inst.User = []int{2, 2, 2, 4, 4, 2}[k%6]
+			inst.Target = []int{5, 6, 5, 5, 7, 7}[k%6]
+			if sp.NumUserAttrs > 0 {
+				inst.UserAttr = (k / 3) % sp.NumUserAttrs
+			}
+			if sp.NumItemAttrs > 0 {
+				inst.TargetAttr = (k / 2) % sp.NumItemAttrs
+			}
+			statics = append(statics, inst)
+		}
+		for kind, compile := range kinds {
+			p, err := compile(m)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			e, aux := p.NewExec(), p.NewExec()
+			check := func(what string, got float64, inst feature.Instance) {
+				t.Helper()
+				if want := p.NewExec().Score(inst); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s %s: %v, fresh Exec %v", name, kind, what, got, want)
+				}
+				if want := scoreRef(m, inst); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s %s: %v, tape %v", name, kind, what, got, want)
+				}
+			}
+			fast := func(what string, st *core.DynState, inst feature.Instance, hist []int) {
+				t.Helper()
+				got, _ := e.ScoreFast(st, inst, nil)
+				inst.Hist = hist
+				check(what, got, inst)
+			}
+			dyns := make([]*core.DynState, len(hists))
+			for i, h := range hists {
+				dyns[i] = aux.PrecomputeDynamic(h)
+			}
+			// One DynState per pad count; users, targets and attributes change
+			// under it in every pattern statics holds.
+			for i, h := range hists {
+				for k, inst := range statics {
+					fast(fmt.Sprintf("hist %v stream[%d]", h, k), dyns[i], inst, h)
+				}
+			}
+			// The same statics under alternating DynStates.
+			for k := 0; k < 8; k++ {
+				i := []int{3, 4, 3, 3, 0, 4, 5, 3}[k]
+				fast(fmt.Sprintf("alternating[%d]", k), dyns[i], statics[k/4], hists[i])
+			}
+			// Snapshots dropped and reallocated: a recycled address must not
+			// revive the memo of the DynState that lived there before.
+			for k := 0; k < 6; k++ {
+				h := hists[1+k%5]
+				fast(fmt.Sprintf("reallocated[%d]", k), aux.PrecomputeDynamic(h), statics[0], h)
+				runtime.GC()
+			}
+			// beginDynamic cuts in between two calls under one DynState.
+			inst := statics[0]
+			fast("before PrecomputeDynamic", dyns[3], inst, hists[3])
+			e.PrecomputeDynamic(hists[4])
+			fast("after PrecomputeDynamic", dyns[3], inst, hists[3])
+			inst.Hist = hists[5]
+			check("Score between", e.Score(inst), inst)
+			fast("after Score", dyns[3], inst, hists[3])
+			batch := append([]feature.Instance(nil), statics...)
+			for i := range batch {
+				batch[i].Hist = hists[2]
+			}
+			for i, got := range e.Forward(batch, false) {
+				check(fmt.Sprintf("Forward[%d]", i), got, batch[i])
+			}
+			fast("after Forward", dyns[3], inst, hists[3])
+		}
+	}
+}
+
+// TestCrossMemoOnLivePlan: a live plan's memo holds projections of weights an
+// optimizer may step, so it must not outlive a beginDynamic, and a training
+// forward must neither read it nor leave anything in it. Weights are stepped
+// between inference Forwards, and training Forward+Backward is interleaved
+// with inference on one Exec; scores are held to the tape and gradients to a
+// fresh Exec's, bit for bit.
+func TestCrossMemoOnLivePlan(t *testing.T) {
+	for _, attrs := range [][2]int{{0, 0}, {3, 4}} {
+		cfg := testConfig()
+		cfg.Space.NumUserAttrs, cfg.Space.NumItemAttrs = attrs[0], attrs[1]
+		m, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := compileFor(t, m)
+		e := p.NewExec()
+		base := matrixInstance(cfg.Space, []int{1, 7, 3})
+		insts := []feature.Instance{base}
+		for k := 1; k <= 4; k++ {
+			neg := base
+			neg.Target = (base.Target + k) % cfg.Space.NumObjects
+			insts = append(insts, neg)
+		}
+		inference := func(what string) {
+			t.Helper()
+			for i, got := range e.Forward(insts, false) {
+				if want := scoreRef(m, insts[i]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("attrs %v %s: Forward[%d]=%v, tape %v", attrs, what, i, got, want)
+				}
+			}
+		}
+		inference("initial weights")
+		for step := 0; step < 3; step++ {
+			for _, prm := range m.Params() {
+				for j := range prm.Value.Data {
+					prm.Value.Data[j] += 0.01 * float64(1+(j+step)%3)
+				}
+			}
+			inference(fmt.Sprintf("after step %d", step))
+		}
+
+		ds := make([]float64, len(insts))
+		for i := range ds {
+			ds[i] = 0.1 * float64(i+1)
+		}
+		want := ag.NewGradShard(m.Params())
+		fresh := p.NewExec()
+		wantScores := append([]float64(nil), fresh.Forward(insts, true)...)
+		fresh.Backward(ds, want)
+		got := ag.NewGradShard(m.Params())
+		trained := append([]float64(nil), e.Forward(insts, true)...) // e's memo is full
+		e.Backward(ds, got)
+		for i := range trained {
+			if math.Float64bits(trained[i]) != math.Float64bits(wantScores[i]) {
+				t.Fatalf("attrs %v: training score %d = %v after inference, fresh Exec %v", attrs, i, trained[i], wantScores[i])
+			}
+		}
+		for _, prm := range m.Params() {
+			g, w := got.Grad(prm), want.Grad(prm)
+			for j := range g.Data {
+				if math.Float64bits(g.Data[j]) != math.Float64bits(w.Data[j]) {
+					t.Fatalf("attrs %v: %s grad[%d] = %v after inference, fresh Exec %v", attrs, prm.Name, j, g.Data[j], w.Data[j])
+				}
+			}
+		}
+		inference("after training")
+		st := p.NewExec().PrecomputeDynamic(base.Hist)
+		for i, inst := range insts {
+			if got, _ := e.ScoreFast(st, inst, nil); math.Float64bits(got) != math.Float64bits(scoreRef(m, inst)) {
+				t.Fatalf("attrs %v: ScoreFast[%d] after training = %v, tape %v", attrs, i, got, scoreRef(m, inst))
+			}
+		}
+	}
+}
+
+// TestExpOfZeroIsOne pins what softmaxScaled's skip relies on: the row
+// maximum's own term, exp(x − max) with x − max = ±0, is exactly 1.
+func TestExpOfZeroIsOne(t *testing.T) {
+	for _, z := range []float64{0, math.Copysign(0, -1)} {
+		if got := math.Exp(z); got != 1 {
+			t.Fatalf("math.Exp(%v) = %v, want exactly 1", z, got)
+		}
+	}
 }

@@ -13,54 +13,46 @@ import (
 // IEEE operations of the tape path in the same order — independent elements
 // may be computed side by side and a row's terms added in fewer passes, but
 // no sum reassociated (no change to which partial sums an element's
-// additions combine). The one skip relied on below: an additively −Inf-masked
+// additions combine). Two skips are relied on. An additively −Inf-masked
 // score is exp(−Inf) = +0 in the softmax — it cannot win the row maximum,
 // adds +0 to the row sum and is dropped by the a·v product's zero-coefficient
 // skip — and the masked MatMulTInto writes it as 0, not stale data, so
-// −Inf + score is never NaN. The parity tests compare bits, not tolerances.
+// −Inf + score is never NaN; the inference cross view (Exec.crossRows) never
+// forms those entries at all. And softmaxScaled does not call exp on ±0,
+// which is exactly 1. The parity tests compare bits, not tolerances.
 
-// addAttendedRows runs one block of masked attention without the mask: for
-// each query row q_i it attends the key rows [firstKey, k.Rows) — the block's
-// live entries — and adds softmax_j(scale·q_i·k_j)·v_j to pool. It equals the
-// dense masked MatMulTInto → ScaleInPlace → SoftmaxRowsInto → MatMulInto →
-// meanRowsInto chain bit for bit: a masked entry is +0 there (see above), a
-// live weight that underflows to 0 is skipped by AddScaledRows as MatMulInto
-// would, and a row with no live key adds +0 to a pooled sum that started at
-// +0. w (≥ k.Rows) and h (q.Cols) are scratch.
-func addAttendedRows(pool []float64, q, k, v *tensor.Matrix, firstKey int, scale float64, w, h []float64) {
-	if q.Cols != k.Cols || k.Rows != v.Rows || len(pool) != v.Cols || len(h) != v.Cols || len(w) < k.Rows {
-		panic(fmt.Sprintf("plan: addAttendedRows: q %dx%d, k %dx%d, v %dx%d, pool %d, scratch %d/%d",
-			q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols, len(pool), len(w), len(h)))
-	}
-	for i := 0; i < q.Rows; i++ {
-		tensor.DotRows(w, q.Row(i), k, firstKey)
-		max := math.Inf(-1)
-		for j := firstKey; j < k.Rows; j++ {
-			s := w[j] * scale
-			w[j] = s
-			if s > max {
-				max = s
-			}
-		}
-		if math.IsInf(max, -1) {
-			continue
-		}
-		sum := 0.0
-		for j := firstKey; j < k.Rows; j++ {
-			e := math.Exp(w[j] - max)
-			w[j] = e
-			sum += e
-		}
-		inv := 1.0 / sum
-		for j := firstKey; j < k.Rows; j++ {
-			w[j] *= inv
-		}
-		clear(h)
-		tensor.AddScaledRows(h, w, v, firstKey)
-		for t, hv := range h {
-			pool[t] += hv
+// softmaxScaled overwrites the live scores w of one attention row with
+// softmax(scale·w), as ScaleInPlace → SoftmaxRowsInto compute them, and
+// reports whether any score is above −Inf (if none, or w is empty, the dense
+// row is all +0 and w is left scaled). Every row has an entry whose
+// x − max is ±0; the test is on that difference, so a +Inf maximum still
+// yields exp(NaN).
+func softmaxScaled(w []float64, scale float64) bool {
+	max := math.Inf(-1)
+	for j, x := range w {
+		x *= scale
+		w[j] = x
+		if x > max {
+			max = x
 		}
 	}
+	if math.IsInf(max, -1) {
+		return false
+	}
+	sum := 0.0
+	for j, x := range w {
+		e := 1.0
+		if x -= max; x != 0 {
+			e = math.Exp(x)
+		}
+		w[j] = e
+		sum += e
+	}
+	inv := 1.0 / sum
+	for j := range w {
+		w[j] *= inv
+	}
+	return true
 }
 
 // meanRowsInto replicates tensor.MeanRows into dst (1×cols): column sums

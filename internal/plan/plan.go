@@ -37,11 +37,18 @@
 //     tables of Emb[i]·W rows (tables.go) and is inference-only. Which path a
 //     forward takes follows from what the code observes — the training flag
 //     and whether the plan is frozen — never from a configuration value.
-//   - Every inference forward, live or frozen, runs the cross view in block
-//     form (addAttendedRows): static queries over the dynamic keys and
-//     dynamic queries over the static keys, reading the shared dynamic blocks
-//     in place, with no (n°+n.)² buffer. Training forwards keep the dense
-//     buffers Backward consumes.
+//   - Every inference forward, live or frozen, runs the cross view over the
+//     live entries of its mask alone and one static row at a time
+//     (Exec.crossRows): row p's attended output over the dynamic keys and its
+//     scores against the dynamic queries — a column of dots k_p·qD_i, the
+//     dense qD_i·k_p with each product commuted — read from the shared
+//     dynamic blocks and a frozen plan's tables in place, with no (n°+n.)²
+//     buffer. An Exec keeps a row's share while the next candidate has the
+//     same static index there under the same dynamic phase (the DynState a
+//     ScoreFast caller passes, which the Exec holds on to, or its own
+//     buffers until the next dynamic phase overwrites them), so a request
+//     computes its user's rows once per worker. Training forwards neither
+//     read nor fill that memo; they keep the dense buffers Backward consumes.
 //   - The hand-derived backward computes the same mathematical gradients as
 //     the tape's reverse pass, exact up to IEEE reassociation (the shared
 //     dynamic subgraph accumulates upstream gradients in candidate order

@@ -47,7 +47,7 @@ type projChunk struct {
 // embedding matrix under one attention triple.
 type projTable struct {
 	emb    *tensor.Matrix
-	w      [3]*tensor.Matrix
+	w      core.AttnSpec
 	d      int
 	chunks []atomic.Pointer[projChunk]
 	// pad is what feature.Pad projects to: MatMulInto of a zero row is +0.
@@ -57,7 +57,7 @@ type projTable struct {
 func newProjTable(emb *tensor.Matrix, w core.AttnSpec) *projTable {
 	return &projTable{
 		emb:    emb,
-		w:      [3]*tensor.Matrix{w.WQ.Value, w.WK.Value, w.WV.Value},
+		w:      w,
 		d:      emb.Cols,
 		chunks: make([]atomic.Pointer[projChunk], (emb.Rows+chunkRows-1)/chunkRows),
 		pad:    make([]float64, 3*emb.Cols),
@@ -86,21 +86,22 @@ func (t *projTable) row(ix int, scratch []float64) []float64 {
 	}
 	if state.CompareAndSwap(rowEmpty, rowFilling) {
 		c.rows[r] = make([]float64, 3*t.d)
-		t.project(c.rows[r], ix)
+		projectRow(c.rows[r], t.emb.Row(ix), t.w)
 		state.Store(rowReady)
 		return c.rows[r]
 	}
-	t.project(scratch, ix)
+	projectRow(scratch, t.emb.Row(ix), t.w)
 	return scratch
 }
 
-// project writes the three projections of embedding row ix into dst.
-func (t *projTable) project(dst []float64, ix int) {
-	d := t.d
-	in := tensor.Matrix{Rows: 1, Cols: d, Data: t.emb.Row(ix)}
-	for k, w := range t.w {
+// projectRow writes [in·WQ | in·WK | in·WV] for one embedding row in into dst
+// (3·len(in) floats) — the rows MatMulInto computes for it in a larger product.
+func projectRow(dst, in []float64, w core.AttnSpec) {
+	d := len(in)
+	a := tensor.Matrix{Rows: 1, Cols: d, Data: in}
+	for k, wm := range [3]*tensor.Matrix{w.WQ.Value, w.WK.Value, w.WV.Value} {
 		out := tensor.Matrix{Rows: 1, Cols: d, Data: dst[k*d : (k+1)*d]}
-		tensor.MatMulInto(&out, &in, w)
+		tensor.MatMulInto(&out, &a, wm)
 	}
 }
 

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -155,4 +157,65 @@ func TestCompiledTopKDuringSwapStorm(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	swapper.Wait()
+}
+
+// TestSingleWorkerAlternatingUsers: with one worker every request of a
+// generation may land on the same pooled Exec, whose cross-view memo then
+// meets a new user and a new DynState on every request — two users taking
+// turns over a shared candidate list, both caches warm after the first round.
+// Every score must still be the fresh-tape one, bit for bit.
+func TestSingleWorkerAlternatingUsers(t *testing.T) {
+	m := testModel(t)
+	e := NewEngine(m, Config{Workers: 1})
+	defer e.Close()
+	bases := []feature.Instance{
+		{User: 3, Hist: []int{4, 9, 2}, UserAttr: feature.Pad, TargetAttr: feature.Pad},
+		{User: 7, Hist: []int{1, 28, 5, 5, 17, 0, 3}, UserAttr: feature.Pad, TargetAttr: feature.Pad},
+		{User: 3, Hist: nil, UserAttr: feature.Pad, TargetAttr: feature.Pad}, // the first user again, cold
+	}
+	candidates := make([]int, 30)
+	for i := range candidates {
+		candidates[i] = (i * 7) % 30
+	}
+	for round := 0; round < 3; round++ {
+		for b, base := range bases {
+			for _, it := range e.TopK(TopKRequest{Base: base, Candidates: candidates}) {
+				inst := base
+				inst.Target = it.Object
+				if want := refScore(m, inst); it.Score != want {
+					t.Fatalf("round %d base %d object %d: served %v, fresh tape %v", round, b, it.Object, it.Score, want)
+				}
+			}
+		}
+	}
+	// Static-view probes are counted per batch, off the workers: 9 requests of
+	// 30 candidates, of which each (user, candidate) pair missed once.
+	if st := e.Stats(); st.StaticHits+st.StaticMisses != 9*30 || st.StaticMisses != 2*30 {
+		t.Fatalf("static cache counted %d hits, %d misses; want 270 probes, 60 misses", st.StaticHits, st.StaticMisses)
+	}
+}
+
+// TestBestItemsMatchesFullSort holds the bounded-heap selection to the order
+// contract — score descending, ties by object ascending — against sorting
+// everything and truncating, over tie-heavy scores and every K.
+func TestBestItemsMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 2, 7, 40} {
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{Object: i, Score: float64(rng.Intn(5))}
+		}
+		rng.Shuffle(n, func(i, j int) { items[i], items[j] = items[j], items[i] })
+		want := slices.Clone(items)
+		slices.SortFunc(want, compareItems)
+		for k := -1; k <= n+1; k++ {
+			keep := n
+			if k > 0 && k < n {
+				keep = k
+			}
+			if got := bestItems(slices.Clone(items), k); !slices.Equal(got, want[:keep]) {
+				t.Fatalf("n=%d k=%d: got %v, want %v", n, k, got, want[:keep])
+			}
+		}
+	}
 }

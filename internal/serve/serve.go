@@ -34,10 +34,11 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,6 +151,10 @@ func (c Config) withDefaults() Config {
 // function of exactly these four instance fields.
 type staticKey struct {
 	user, target, userAttr, targetAttr int
+}
+
+func staticKeyOf(inst feature.Instance) staticKey {
+	return staticKey{inst.User, inst.Target, inst.UserAttr, inst.TargetAttr}
 }
 
 // generation is one immutable serving snapshot: a model reference and the
@@ -551,40 +556,6 @@ func (e *Engine) dynStates(g *generation, insts []feature.Instance) []*core.DynS
 	return out
 }
 
-// scoreFastCached runs the candidate-dependent part of one forward pass,
-// consulting and feeding the generation's static-view cache.
-func (e *Engine) scoreFastCached(g *generation, t *ag.Tape, dyn *core.DynState, inst feature.Instance) float64 {
-	key := staticKey{inst.User, inst.Target, inst.UserAttr, inst.TargetAttr}
-	hS, ok := g.statics.get(key)
-	if ok {
-		e.staticHits.Add(1)
-	} else {
-		e.staticMisses.Add(1)
-	}
-	score, hSout := g.fast.ScoreFast(t, dyn, inst, hS)
-	if !ok && hSout != nil {
-		g.statics.put(key, hSout)
-	}
-	return score
-}
-
-// scoreFastCachedExec is scoreFastCached on the compiled engine: same cache
-// discipline, same bit-exact scores, no tape.
-func (e *Engine) scoreFastCachedExec(g *generation, ex *plan.Exec, dyn *core.DynState, inst feature.Instance) float64 {
-	key := staticKey{inst.User, inst.Target, inst.UserAttr, inst.TargetAttr}
-	hS, ok := g.statics.get(key)
-	if ok {
-		e.staticHits.Add(1)
-	} else {
-		e.staticMisses.Add(1)
-	}
-	score, hSout := ex.ScoreFast(dyn, inst, hS)
-	if !ok && hSout != nil {
-		g.statics.put(key, hSout)
-	}
-	return score
-}
-
 // scoreBatchOn scores every instance against one generation snapshot.
 func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64 {
 	out := make([]float64, len(insts))
@@ -600,16 +571,34 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 		return out
 	}
 	dyns := e.dynStates(g, insts)
+	// The static-view cache is probed and fed here, around the fan-out and
+	// not inside it: the workers take no lock and count nothing, and a batch
+	// costs the shared counters two adds.
+	views := make([]*tensor.Matrix, len(insts))
+	var misses []int
+	for i, inst := range insts {
+		var ok bool
+		if views[i], ok = g.statics.get(staticKeyOf(inst)); !ok {
+			misses = append(misses, i)
+		}
+	}
+	e.staticHits.Add(int64(len(insts) - len(misses)))
+	e.staticMisses.Add(int64(len(misses)))
 	if g.plan != nil {
 		e.eachWithExec(g.plan, len(insts), func(ex *plan.Exec, i int) {
-			out[i] = e.scoreFastCachedExec(g, ex, dyns[i], insts[i])
+			out[i], views[i] = ex.ScoreFast(dyns[i], insts[i], views[i])
 		})
-		return out
+	} else {
+		e.eachWithTape(len(insts), func(t *ag.Tape, i int) {
+			t.Reset()
+			out[i], views[i] = g.fast.ScoreFast(t, dyns[i], insts[i], views[i])
+		})
 	}
-	e.eachWithTape(len(insts), func(t *ag.Tape, i int) {
-		t.Reset()
-		out[i] = e.scoreFastCached(g, t, dyns[i], insts[i])
-	})
+	for _, i := range misses {
+		if views[i] != nil {
+			g.statics.put(staticKeyOf(insts[i]), views[i])
+		}
+	}
 	return out
 }
 
@@ -720,15 +709,7 @@ func (e *Engine) topKOn(g *generation, req TopKRequest, dedup bool) ([]Item, uin
 	for i, s := range scores {
 		items[i] = Item{Object: candidates[i], Score: s}
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Score != items[j].Score {
-			return items[i].Score > items[j].Score
-		}
-		return items[i].Object < items[j].Object
-	})
-	if req.K > 0 && req.K < len(items) {
-		items = items[:req.K]
-	}
+	items = bestItems(items, req.K)
 	if g.scores != nil {
 		// Sketch the *served* scores — the K items a caller actually sees —
 		// under this exact generation. A handful of atomic adds per request,
@@ -738,6 +719,51 @@ func (e *Engine) topKOn(g *generation, req TopKRequest, dedup bool) ([]Item, uin
 		}
 	}
 	return items, g.id
+}
+
+// compareItems is TopK's order: score descending, ties by object ascending.
+func compareItems(a, b Item) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Object, b.Object)
+}
+
+// bestItems returns the first k items of that order, sorted, in items' own
+// storage; k <= 0 or k >= len(items) sorts them all. Otherwise items[:k] is
+// kept as a heap with the worst survivor at its root, which the rest only
+// have to beat — J comparisons and a few sifts instead of a J·log J sort.
+func bestItems(items []Item, k int) []Item {
+	if k > 0 && k < len(items) {
+		h := items[:k]
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		for _, it := range items[k:] {
+			if compareItems(it, h[0]) < 0 {
+				h[0] = it
+				siftDown(h, 0)
+			}
+		}
+		items = h
+	}
+	slices.SortFunc(items, compareItems)
+	return items
+}
+
+// siftDown restores bestItems' heap — no child worse than its parent — below h[i].
+func siftDown(h []Item, i int) {
+	for {
+		c := 2*i + 1
+		if c+1 < len(h) && compareItems(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if c >= len(h) || compareItems(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // DriftStats is one inter-generation score-drift reading: the current

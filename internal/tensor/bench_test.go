@@ -69,6 +69,25 @@ func BenchmarkMatMulTInto(b *testing.B) {
 	benchKernel(b, "scores_2x20", 2*20*64,
 		func() { MatMulTInto(dst2, q2, k, nil) },
 		func() { refMatMulT(dst2, q2, k, nil, 0, false) })
+	// Two keys: no full pass of four, the whole row is the leftover pass.
+	k2, dst3 := benchMat(2, 64, 4), New(20, 2)
+	benchKernel(b, "scores_20x2", 20*2*64,
+		func() { MatMulTInto(dst3, q, k2, nil) },
+		func() { refMatMulT(dst3, q, k2, nil, 0, false) })
+}
+
+// One dynamic query's attended row over the two static values, pooled.
+func BenchmarkAddScaledSum(b *testing.B) {
+	v, w, pool, sum := benchMat(2, 64, 1), FromSlice(1, 2, []float64{0.25, 0.75}), New(1, 64), New(1, 64)
+	rows := scatteredRows(v)
+	benchKernel(b, "pool_2x64", 2*64,
+		func() { AddScaledSum(pool.Data, w.Data, rows) },
+		func() {
+			refAddMatMul(sum.Zero(), w, v)
+			for j, x := range sum.Data {
+				pool.Data[j] += x
+			}
+		})
 }
 
 func BenchmarkAddTMatMul(b *testing.B) {

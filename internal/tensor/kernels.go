@@ -48,9 +48,11 @@ func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 }
 
 // dotRows sets out[j] (add: adds to out[j]) the dot of a with row j of the
-// len(a)-wide rows packed in b, four live rows at a time and the last one to
-// three one by one. A row whose mask entry is non-zero is not computed and
-// gets 0; nil mask means all live.
+// len(a)-wide rows packed in b, four live rows at a time. Two or three left
+// over go through one more pass of four, its spare lanes repeating the last
+// row: each lane is a DotVec of its own, so a repeat costs nothing and changes
+// nothing. A single one left over is a DotVec. A row whose mask entry is
+// non-zero is not computed and gets 0; nil mask means all live.
 func dotRows(out, a, b, mask []float64, add bool) {
 	d := len(a)
 	var live [tile]int
@@ -62,24 +64,35 @@ func dotRows(out, a, b, mask []float64, add bool) {
 		}
 		live[n] = j
 		n++
-		if n < tile {
-			continue
+		if n == tile {
+			dotLive(out, a, b, &live, add)
+			n = 0
 		}
-		n = 0
-		j0, j1, j2, j3 := live[0], live[1], live[2], live[3]
-		s0, s1, s2, s3 := dot4(a, b[j0*d:], b[j1*d:], b[j2*d:], b[j3*d:])
-		if add {
-			s0, s1, s2, s3 = out[j0]+s0, out[j1]+s1, out[j2]+s2, out[j3]+s3
-		}
-		out[j0], out[j1], out[j2], out[j3] = s0, s1, s2, s3
 	}
-	for _, j := range live[:n] {
+	if n == 1 {
+		j := live[0]
 		s := DotVec(a, b[j*d:])
 		if add {
 			s = out[j] + s
 		}
 		out[j] = s
+	} else if n > 1 {
+		for ; n < tile; n++ {
+			live[n] = live[n-1]
+		}
+		dotLive(out, a, b, &live, add)
 	}
+}
+
+// dotLive is one pass of dotRows over the four rows live names.
+func dotLive(out, a, b []float64, live *[tile]int, add bool) {
+	d := len(a)
+	j0, j1, j2, j3 := live[0], live[1], live[2], live[3]
+	s0, s1, s2, s3 := dot4(a, b[j0*d:], b[j1*d:], b[j2*d:], b[j3*d:])
+	if add {
+		s0, s1, s2, s3 = out[j0]+s0, out[j1]+s1, out[j2]+s2, out[j3]+s3
+	}
+	out[j0], out[j1], out[j2], out[j3] = s0, s1, s2, s3
 }
 
 // axpy adds the n ≤ tile terms c[i]·r[i] to d in one pass, in order; lanes
@@ -240,6 +253,56 @@ func AddScaledRows(dst, coef []float64, b *Matrix, from int) {
 			len(coef), from, b.Rows, b.Cols, len(dst)))
 	}
 	axpyRows(dst, coef[from:], 1, b.Data[from*b.Cols:], b.Rows-from)
+}
+
+// AddScaledSum adds Σ_k coef[k]·rows[k] to dst as a single term per element:
+// the sum is formed first — from +0, k ascending, zero coefficients skipped,
+// exactly what AddScaledRows leaves in a zeroed vector — and then added, all
+// in one pass and without that vector. At most tile rows, which may lie
+// anywhere in memory but dst.
+func AddScaledSum(dst, coef []float64, rows [][]float64) {
+	if len(rows) > tile || len(coef) < len(rows) {
+		panic(fmt.Sprintf("tensor: AddScaledSum: %d rows (at most %d), %d coefficients", len(rows), tile, len(coef)))
+	}
+	var c [tile]float64
+	var r [tile][]float64
+	n := 0
+	for k, row := range rows {
+		if len(row) != len(dst) || sameStart(dst, row) {
+			panic(fmt.Sprintf("tensor: AddScaledSum: row %d has %d of %d elements, or is dst", k, len(row), len(dst)))
+		}
+		if coef[k] != 0 {
+			c[n], r[n] = coef[k], row
+			n++
+		}
+	}
+	for k := n; k < tile; k++ {
+		r[k] = dst // a spare lane: sliced below, never read
+	}
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	b0, b1, b2, b3 := r[0][:len(dst)], r[1][:len(dst)], r[2][:len(dst)], r[3][:len(dst)]
+	switch n {
+	case 0:
+		for j := range dst {
+			dst[j] = dst[j] + 0
+		}
+	case 1:
+		for j := range dst {
+			dst[j] = dst[j] + (0 + c0*b0[j])
+		}
+	case 2:
+		for j := range dst {
+			dst[j] = dst[j] + ((0 + c0*b0[j]) + c1*b1[j])
+		}
+	case 3:
+		for j := range dst {
+			dst[j] = dst[j] + (((0 + c0*b0[j]) + c1*b1[j]) + c2*b2[j])
+		}
+	case 4:
+		for j := range dst {
+			dst[j] = dst[j] + ((((0 + c0*b0[j]) + c1*b1[j]) + c2*b2[j]) + c3*b3[j])
+		}
+	}
 }
 
 // Dot returns the inner product of two equal-length row vectors.

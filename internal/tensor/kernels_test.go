@@ -68,6 +68,24 @@ func refMatMulT(dst, a, b, mask *Matrix, fromRow int, add bool) {
 	}
 }
 
+// refAddScaledSum is dst += (the sum refAddMatMul builds in a zeroed row).
+func refAddScaledSum(dst, coef []float64, b *Matrix) {
+	sum := New(1, b.Cols)
+	refAddMatMul(sum, FromSlice(1, b.Rows, coef[:b.Rows]), b)
+	for j, v := range sum.Data {
+		dst[j] += v
+	}
+}
+
+// scatteredRows copies b's rows into slices of their own.
+func scatteredRows(b *Matrix) [][]float64 {
+	rows := make([][]float64, b.Rows)
+	for k := range rows {
+		rows[k] = append(make([]float64, 0, b.Cols), b.Row(k)...) // non-nil when empty
+	}
+	return rows
+}
+
 // sameBits fails unless got and want agree element by element in their bit
 // patterns (any NaN matches any NaN: payloads follow operand order, which the
 // compiler picks).
@@ -107,9 +125,10 @@ func poisonRow(b *Matrix, k int) {
 	}
 }
 
-// tailSizes covers every remainder of the tile width, the static side's 1 and
-// 2 rows, and the model's 20 and 64.
-var tailSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 64}
+// tailSizes covers every remainder of the tile width — one row left over is a
+// DotVec, two or three share a last pass of four — the static side's 1 to 4
+// rows, and the model's 20 and 64.
+var tailSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 20, 64}
 
 func TestAxpyKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -157,6 +176,16 @@ func TestAxpyKernelsMatchReference(t *testing.T) {
 					AddScaledRows(got.Data, coef, b, from)
 					sameBits(t, fmt.Sprintf("AddScaledRows %s from %d", name, from), got.Data, want.Data)
 				}
+
+				// The same sum formed apart and added as one term, over rows
+				// that lie apart.
+				if r > 0 && k <= tile {
+					init := salted(rng, 1, c)
+					want, got := init.Clone(), init.Clone()
+					refAddScaledSum(want.Data, a.Row(0), b)
+					AddScaledSum(got.Data, a.Row(0), scatteredRows(b))
+					sameBits(t, "AddScaledSum "+name, got.Data, want.Data)
+				}
 			}
 		}
 	}
@@ -180,7 +209,7 @@ func maskLeaving(rng *rand.Rand, r, c int, live []int) *Matrix {
 
 func TestDotKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, r := range []int{0, 1, 2, 6} {
+	for _, r := range []int{0, 1, 2, 9} {
 		for _, c := range tailSizes {
 			for _, k := range []int{0, 1, 3, 8, 64} {
 				name := fmt.Sprintf("%dx%d·(%dx%d)ᵀ", r, k, c, k)
@@ -191,7 +220,7 @@ func TestDotKernelsMatchReference(t *testing.T) {
 				sameBits(t, "MatMulTInto "+name, got.Data, want.Data)
 				sameBits(t, "MatMulT "+name, MatMulT(a, b).Data, want.Data)
 
-				mask := maskLeaving(rng, r, c, []int{0, 1, 3, 4, 5, c})
+				mask := maskLeaving(rng, r, c, []int{2, 3, 0, 1, 4, 5, 6, 7, c})
 				refMatMulT(want, a, b, mask, 0, false)
 				MatMulTInto(got, a, b, mask)
 				sameBits(t, "masked MatMulTInto "+name, got.Data, want.Data)
@@ -256,6 +285,7 @@ func TestKernelsRejectAliasedDst(t *testing.T) {
 		"DotRows/b":       func() { DotRows(x.Row(0), y.Row(0), x, 0) },
 		"AddScaledRows/a": func() { AddScaledRows(x.Row(0), x.Row(0), y, 0) },
 		"AddScaledRows/b": func() { AddScaledRows(x.Row(0), y.Row(0), x, 0) },
+		"AddScaledSum":    func() { AddScaledSum(x.Row(0), y.Row(0), [][]float64{y.Row(1), x.Row(0)}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -308,6 +338,12 @@ func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add([]byte{2, 64, 20, 0, 200, 100, 50, 25, 12, 6, 3, 1})
 	f.Add([]byte{5, 3, 7, 2, 0, 1, 2, 3, 4, 255, 254, 128, 127, 60, 61})
 	f.Add([]byte{1, 1, 1, 1})
+	// Two and three rows or columns left over after the passes of four, with
+	// masks that leave as many live, and zeros of both signs among the values.
+	f.Add([]byte{3, 2, 6, 1, 0, 1, 40, 41, 7, 250, 9, 16, 130, 0, 1, 1, 0})
+	f.Add([]byte{9, 3, 7, 2, 1, 0, 33, 200, 5, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1})
+	f.Add([]byte{2, 4, 11, 0, 90, 91, 92, 2, 3, 255, 1, 0, 1, 0, 0})
+	f.Add([]byte{6, 12, 2, 5, 1, 77, 0, 0, 1, 12, 13, 1, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &byteReader{data: data}
@@ -359,6 +395,12 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			refAddMatMul(FromSlice(1, c, want.Row(0)), FromSlice(1, k-rowFrom, a.Row(0)[rowFrom:]), FromSlice(k-rowFrom, c, b.Data[rowFrom*c:]))
 			AddScaledRows(got.Row(0), a.Row(0), b, rowFrom)
 			sameBits(t, "AddScaledRows", got.Data, want.Data)
+
+			few := FromSlice(min(k, tile), c, b.Data[:min(k, tile)*c])
+			want, got = init.Clone(), init.Clone()
+			refAddScaledSum(want.Row(0), a.Row(0), few)
+			AddScaledSum(got.Row(0), a.Row(0), scatteredRows(few))
+			sameBits(t, "AddScaledSum", got.Data, want.Data)
 		}
 	})
 }

@@ -100,18 +100,19 @@ func (s *evalScorer) score(ds *data.Dataset, first feature.Instance, others ...i
 	return s.scores
 }
 
-// ParallelEach fans f over n indexed jobs across the given number of worker
-// goroutines: worker w handles indices w, w+workers, w+2·workers, … — the
+// ParallelEach fans f over n indexed jobs across the given number of
+// workers: worker w handles indices w, w+workers, w+2·workers, … — the
 // strided data-parallel pattern shared by training, evaluation and the
 // serving engine (internal/serve). f receives the worker id alongside the
 // job index so callers can keep per-worker state (tapes, samplers) without
-// locking.
+// locking. Worker 0 is the calling goroutine; the others are started here and
+// have all returned when ParallelEach does.
 func ParallelEach(n, workers int, f func(w, i int)) {
 	if workers < 1 {
 		workers = 1
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -119,6 +120,9 @@ func ParallelEach(n, workers int, f func(w, i int)) {
 				f(w, i)
 			}
 		}(w)
+	}
+	for i := 0; i < n; i += workers {
+		f(0, i)
 	}
 	wg.Wait()
 }

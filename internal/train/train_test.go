@@ -395,3 +395,25 @@ func TestWorkerCountChangesSamplingStreams(t *testing.T) {
 		t.Skip("worker counts coincided; sampling streams happened to align")
 	}
 }
+
+// TestParallelEachStrides pins the fan-out contract: index i goes to worker
+// i mod workers, exactly once, whatever the worker count — and stride 0 runs
+// on the calling goroutine, so a panic in it unwinds into the caller.
+func TestParallelEachStrides(t *testing.T) {
+	for _, c := range [][2]int{{0, 3}, {1, 1}, {7, 3}, {5, 8}, {9, 0}, {64, 2}} {
+		n, workers := c[0], c[1]
+		got := make([]int, n)
+		ParallelEach(n, workers, func(w, i int) { got[i] += w + 1 })
+		for i, g := range got {
+			if want := i%max(workers, 1) + 1; g != want {
+				t.Fatalf("n=%d workers=%d: index %d ran as worker %d, want %d (once)", n, workers, i, g-1, want-1)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stride 0 did not run on the calling goroutine")
+		}
+	}()
+	ParallelEach(1, 4, func(w, i int) { panic("stride 0") })
+}
