@@ -54,9 +54,39 @@ func BenchmarkExecScore(b *testing.B) {
 	}
 }
 
+// trainMACs counts, from the model's shapes alone, the multiply-adds the
+// kernels issue for one training forward and backward over candidates
+// instances that share a dynamic phase. A view that projects P rows and has
+// O live score entries costs 3·P·d² per projection pass, O·d for each of its
+// six attention products (scores and A·V forward; dA, dV, dQ, dK backward —
+// masked entries are not computed, and the exact zeros they leave in A and dS
+// are skipped) and d² per FFN layer per pass; backward makes two passes (one
+// for the weights, one for the inputs) for each forward one. ReLU zeros, which
+// are skipped too, are not modelled; the count is within 0.01 % of what the
+// kernels do at the paper's defaults.
+func trainMACs(sp core.ModelSpec, candidates int) float64 {
+	d, s, n := float64(sp.Cfg.Dim), float64(sp.NStatic), float64(sp.Cfg.MaxSeqLen)
+	live := func(mask *tensor.Matrix) (k float64) {
+		for _, v := range mask.Data {
+			if v == 0 {
+				k++
+			}
+		}
+		return k
+	}
+	view := func(projected, scores float64) float64 {
+		return 3*(3*projected*d*d) + 6*scores*d + 3*float64(len(sp.FFN))*d*d
+	}
+	// Per candidate the static view and the cross view with its static rows;
+	// once the dynamic view and the cross view's dynamic rows.
+	perCandidate := view(s, s*s) + view(s, live(sp.CrossMask))
+	return float64(candidates)*perCandidate + view(n, live(sp.CausalMask)) + 3*(3*n*d*d)
+}
+
 // BenchmarkExecForwardBackward is one compiled training step's compute at
 // Negatives=5: shared-candidate forward, loss seeds, hand-derived backward
-// into a gradient shard.
+// into a gradient shard. Its MAC/ns is the plan-level figure to set beside
+// the kernel rows of internal/tensor's benchmarks.
 func BenchmarkExecForwardBackward(b *testing.B) {
 	m, inst := benchModel(b)
 	pl, err := plan.For(m)
@@ -77,6 +107,7 @@ func BenchmarkExecForwardBackward(b *testing.B) {
 		_ = e.Forward(insts, true)
 		e.Backward(ds, shard)
 	}
+	b.ReportMetric(trainMACs(m.Spec(), len(insts))*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 }
 
 // The benchmarks below time the two kernels a serving request is made of, on

@@ -8,9 +8,12 @@ import (
 
 // The shapes below are the ones a SeqFM forward and backward issue at the
 // paper's defaults (d = 64, n° = 2, n· = 20, one FFN layer). Each benchmark
-// fails if its kernel allocates and reports multiply-adds per nanosecond; the
-// /ref rows time the loop the kernel replaced (kernels_test.go) on the same
-// operands, which is the "before" of EXPERIMENTS.md's kernel table.
+// fails if its kernel allocates and reports multiply-adds per nanosecond. A
+// shape has three rows: the kernel as this machine runs it, /go the same
+// kernel with the vector bodies off (the portable loops alone; skipped where
+// that is the first row already), and /ref the textbook loop the kernel
+// replaced (kernels_test.go) — EXPERIMENTS.md's kernel tables, on the same
+// operands.
 
 func benchMat(rows, cols int, seed int64) *Matrix {
 	return randomMat(rand.New(rand.NewSource(seed)), rows, cols)
@@ -30,10 +33,14 @@ func causalMask(n int) *Matrix {
 
 func benchKernel(b *testing.B, name string, macs int, kernel, ref func()) {
 	for _, c := range []struct {
-		name string
-		f    func()
-	}{{name, kernel}, {name + "/ref", ref}} {
+		name   string
+		f      func()
+		goOnly bool
+	}{{name, kernel, false}, {name + "/go", kernel, true}, {name + "/ref", ref, false}} {
 		b.Run(c.name, func(b *testing.B) {
+			if c.goOnly && !goLoopsOnly(b) {
+				b.Skip("no vector bodies on this CPU: the row above is the Go loops")
+			}
 			if got := testing.AllocsPerRun(10, c.f); got != 0 {
 				b.Fatalf("allocates %.0f objects/op, want 0", got)
 			}
@@ -91,10 +98,11 @@ func BenchmarkAddScaledSum(b *testing.B) {
 }
 
 func BenchmarkAddTMatMul(b *testing.B) {
+	// One row is the rank-1 update an FFN layer's backward makes per instance.
 	for _, c := range []struct {
 		name string
 		rows int
-	}{{"wgrad_2x64", 2}, {"wgrad_20x64", 20}} {
+	}{{"ffn_1x64", 1}, {"wgrad_2x64", 2}, {"wgrad_20x64", 20}} {
 		in, dout, dst := benchMat(c.rows, 64, 1), benchMat(c.rows, 64, 2), New(64, 64)
 		benchKernel(b, c.name, c.rows*64*64,
 			func() { AddTMatMul(dst, in, dout) },
@@ -108,4 +116,17 @@ func BenchmarkAddMatMulT(b *testing.B) {
 	benchKernel(b, "igrad_20x64_from5", (20-fromRow)*64*64,
 		func() { AddMatMulT(dst, dout, w, fromRow) },
 		func() { refMatMulT(dst, dout, w, nil, fromRow, true) })
+}
+
+// One static key against the twenty dynamic queries: a key column of the
+// inference cross view.
+func BenchmarkDotRows(b *testing.B) {
+	k, q, col := benchMat(1, 64, 1), benchMat(20, 64, 2), New(1, 20)
+	benchKernel(b, "cross_1x64_20x64", 20*64,
+		func() { DotRows(col.Data, k.Data, q, 0) },
+		func() {
+			for j := range col.Data {
+				col.Data[j] = refDot(k.Data, q.Row(j))
+			}
+		})
 }

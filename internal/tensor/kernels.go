@@ -15,13 +15,26 @@ import "fmt"
 //     loop skips it, four surviving terms added to d[j] per pass — the same
 //     additions in the same order, d[j] loaded and stored once, not four times.
 //
+// The loops in this file are the portable path, and everything above and the
+// sentences below about fusing and about tile describe them. On amd64 with
+// AVX2 (useAVX2) each family also has a vector body in kernels_amd64.s whose
+// four lanes are four neighbouring output elements, never parts of one sum:
+// it takes the columns (axpy form) or the groups of rows (dot form, when
+// len(a) is a multiple of four) it can fill, and these loops finish the
+// rest, so they are fallback, tail handler and oracle in one copy. The two
+// agree bit for bit (DESIGN.md §15 "Lanes are output elements"); the tests
+// run both.
+//
 // Every step is written acc + x*y, so a compiler that fuses multiply-add
-// (arm64) fuses these and the reference loops of kernels_test.go alike.
+// (arm64) fuses these and the reference loops of kernels_test.go alike; the
+// vector bodies multiply and add apart, as the amd64 compiler does.
 // internal/index keeps its own four-accumulator dot: it reassociates, under
 // index's recall contract rather than this one.
 
 // tile is the number of output elements (dot form) or k terms (axpy form) one
-// pass covers. Eight measured slower: the sums no longer fit 16 registers.
+// pass of the Go loops covers. Eight measured slower: the sums no longer fit
+// 16 registers. It is also the float64 lanes of a 256-bit vector, which is
+// why the vector bodies' shapes are written in terms of it.
 const tile = 4
 
 // DotVec returns Σ a[i]·b[i] with a single accumulator, left to right — the
@@ -48,14 +61,21 @@ func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 }
 
 // dotRows sets out[j] (add: adds to out[j]) the dot of a with row j of the
-// len(a)-wide rows packed in b, four live rows at a time. Two or three left
-// over go through one more pass of four, its spare lanes repeating the last
-// row: each lane is a DotVec of its own, so a repeat costs nothing and changes
-// nothing. A single one left over is a DotVec. A row whose mask entry is
-// non-zero is not computed and gets 0; nil mask means all live.
+// len(a)-wide rows packed in b, four live rows at a time — eight under the
+// vector body, which takes every len(a) that is a multiple of its four lanes.
+// Two or three left over go through one more pass of four, its spare lanes
+// repeating the last row: each lane is a DotVec of its own, so a repeat costs
+// nothing and changes nothing. A single one left over is a DotVec. A row whose
+// mask entry is non-zero is not computed and gets 0; nil mask means all live.
 func dotRows(out, a, b, mask []float64, add bool) {
 	d := len(a)
-	var live [tile]int
+	vec := useAVX2 && d > 0 && d%tile == 0
+	group := tile
+	if vec {
+		_ = b[:len(out)*d] // the vector body checks no bounds
+		group = 2 * tile
+	}
+	var live [2 * tile]int
 	n := 0
 	for j := range out {
 		if mask != nil && mask[j] != 0 {
@@ -64,10 +84,14 @@ func dotRows(out, a, b, mask []float64, add bool) {
 		}
 		live[n] = j
 		n++
-		if n == tile {
-			dotLive(out, a, b, &live, add)
+		if n == group {
+			dotLive(out, a, b, &live, n, add, vec)
 			n = 0
 		}
+	}
+	if n >= tile { // four to seven left of a group of eight
+		dotLive(out, a, b, &live, tile, add, vec)
+		n = copy(live[:], live[tile:n])
 	}
 	if n == 1 {
 		j := live[0]
@@ -77,16 +101,21 @@ func dotRows(out, a, b, mask []float64, add bool) {
 		}
 		out[j] = s
 	} else if n > 1 {
-		for ; n < tile; n++ {
-			live[n] = live[n-1]
+		for k := n; k < tile; k++ {
+			live[k] = live[k-1]
 		}
-		dotLive(out, a, b, &live, add)
+		dotLive(out, a, b, &live, n, add, vec)
 	}
 }
 
-// dotLive is one pass of dotRows over the four rows live names.
-func dotLive(out, a, b []float64, live *[tile]int, add bool) {
+// dotLive is one pass of dotRows over the first n rows live names: eight, or
+// up to four with the lanes from n on repeating a row.
+func dotLive(out, a, b []float64, live *[2 * tile]int, n int, add, vec bool) {
 	d := len(a)
+	if vec {
+		dotLiveAVX2(&out[0], &a[0], d, &b[0], live, n, add)
+		return
+	}
 	j0, j1, j2, j3 := live[0], live[1], live[2], live[3]
 	s0, s1, s2, s3 := dot4(a, b[j0*d:], b[j1*d:], b[j2*d:], b[j3*d:])
 	if add {
@@ -96,11 +125,7 @@ func dotLive(out, a, b []float64, live *[tile]int, add bool) {
 }
 
 // axpy adds the n ≤ tile terms c[i]·r[i] to d in one pass, in order; lanes
-// from n on must hold some slice no shorter than d and are not read. It stays
-// out of line: inlined into axpyRows the loop counter spills to the stack and
-// every iteration waits on the reload.
-//
-//go:noinline
+// from n on must hold some slice no shorter than d and are not read.
 func axpy(d []float64, n int, c *[tile]float64, r *[tile][]float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	b0, b1, b2, b3 := r[0][:len(d)], r[1][:len(d)], r[2][:len(d)], r[3][:len(d)]
@@ -125,11 +150,20 @@ func axpy(d []float64, n int, c *[tile]float64, r *[tile][]float64) {
 }
 
 // axpyRows adds Σ_k c_k·b_k to d for k = 0…rows−1 in order, where
-// c_k = coef[k·stride] and b_k is row k of the len(d)-wide rows packed in b.
-// Terms with c_k == 0 are skipped, not added; the rest go in fused passes of
-// four, and what is left over in one pass of one, two or three.
-func axpyRows(d, coef []float64, stride int, b []float64, rows int) {
-	w := len(d)
+// c_k = coef[k·stride] and b_k is row k, len(d) wide, of the ld-wide rows
+// packed in b. Terms with c_k == 0 are skipped, not added; the rest go in
+// fused passes of four, and what is left over in one pass of one, two or
+// three. The vector body takes the columns up to the last multiple of its
+// four lanes, all k in one call, and leaves this loop the rest.
+func axpyRows(d, coef []float64, stride int, b []float64, ld, rows int) {
+	if w := len(d) &^ (tile - 1); useAVX2 && w > 0 && rows > 0 {
+		_, _ = coef[(rows-1)*stride], b[(rows-1)*ld+len(d)-1] // the vector body checks no bounds
+		axpyRowsAVX2(&d[0], w, &coef[0], stride, &b[0], ld, rows)
+		if w == len(d) {
+			return
+		}
+		d, b = d[w:], b[w:]
+	}
 	var c [tile]float64
 	r := [tile][]float64{d, d, d, d}
 	n := 0
@@ -138,7 +172,7 @@ func axpyRows(d, coef []float64, stride int, b []float64, rows int) {
 		if cv == 0 {
 			continue
 		}
-		c[n], r[n] = cv, b[k*w:]
+		c[n], r[n] = cv, b[k*ld:]
 		n++
 		if n == tile {
 			axpy(d, n, &c, &r)
@@ -178,7 +212,7 @@ func MatMulInto(dst, a, b *Matrix) {
 	checkKernel("MatMulInto", a.Cols == b.Rows && dst.Rows == a.Rows && dst.Cols == b.Cols, dst, a, b)
 	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
-		axpyRows(dst.Row(i), a.Row(i), 1, b.Data, b.Rows)
+		axpyRows(dst.Row(i), a.Row(i), 1, b.Data, b.Cols, b.Rows)
 	}
 }
 
@@ -200,7 +234,7 @@ func TMatMulInto(dst, a, b *Matrix) {
 func AddTMatMul(dst, a, b *Matrix) {
 	checkKernel("AddTMatMul", a.Rows == b.Rows && dst.Rows == a.Cols && dst.Cols == b.Cols, dst, a, b)
 	for i := 0; i < a.Cols && a.Rows > 0; i++ {
-		axpyRows(dst.Row(i), a.Data[i:], a.Cols, b.Data, b.Rows)
+		axpyRows(dst.Row(i), a.Data[i:], a.Cols, b.Data, b.Cols, b.Rows)
 	}
 }
 
@@ -252,7 +286,7 @@ func AddScaledRows(dst, coef []float64, b *Matrix, from int) {
 		panic(fmt.Sprintf("tensor: AddScaledRows: %d coefficients · rows [%d,%d) of %d cols into %d, or dst aliases an input",
 			len(coef), from, b.Rows, b.Cols, len(dst)))
 	}
-	axpyRows(dst, coef[from:], 1, b.Data[from*b.Cols:], b.Rows-from)
+	axpyRows(dst, coef[from:], 1, b.Data[from*b.Cols:], b.Cols, b.Rows-from)
 }
 
 // AddScaledSum adds Σ_k coef[k]·rows[k] to dst as a single term per element:
@@ -279,8 +313,14 @@ func AddScaledSum(dst, coef []float64, rows [][]float64) {
 	for k := n; k < tile; k++ {
 		r[k] = dst // a spare lane: sliced below, never read
 	}
+	w := 0 // columns the vector body takes, two vectors of four lanes at a time
+	if useAVX2 && len(dst) >= 2*tile {
+		w = len(dst) &^ (2*tile - 1)
+		axpySumAVX2(&dst[0], w, n, &c, &r)
+	}
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	b0, b1, b2, b3 := r[0][:len(dst)], r[1][:len(dst)], r[2][:len(dst)], r[3][:len(dst)]
+	b0, b1, b2, b3 := r[0][w:len(dst)], r[1][w:len(dst)], r[2][w:len(dst)], r[3][w:len(dst)]
+	dst = dst[w:]
 	switch n {
 	case 0:
 		for j := range dst {

@@ -11,6 +11,28 @@ import (
 // oracle: one accumulator per dot, one axpy pass per k term. Every exported
 // kernel must reproduce their output bit for bit.
 
+// bothPaths runs f on the path this machine takes by default — on amd64 with
+// AVX2 the vector bodies of kernels_amd64.s over the columns or rows they
+// take, the Go loops over the rest — and then, as subtest "go", with the
+// vector bodies off: what a CPU without AVX2 and every other GOARCH run.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	f(t)
+	t.Run("go", func(t *testing.T) {
+		if !goLoopsOnly(t) {
+			t.Skip("no vector bodies on this CPU: the run above was the Go loops")
+		}
+		f(t)
+	})
+}
+
+// odd returns a copy of m whose data begins one or three elements into its
+// backing array: 8-byte aligned as every row is, 32-byte aligned at most by
+// accident. A vector body that assumed alignment faults on it.
+func odd(m *Matrix) *Matrix {
+	off := 1 + 2*(len(m.Data)%2)
+	return FromSlice(m.Rows, m.Cols, append(make([]float64, off, off+len(m.Data)), m.Data...)[off:])
+}
+
 func refDot(a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
@@ -77,11 +99,12 @@ func refAddScaledSum(dst, coef []float64, b *Matrix) {
 	}
 }
 
-// scatteredRows copies b's rows into slices of their own.
+// scatteredRows copies b's rows into slices of their own, each one element
+// into its backing array.
 func scatteredRows(b *Matrix) [][]float64 {
 	rows := make([][]float64, b.Rows)
 	for k := range rows {
-		rows[k] = append(make([]float64, 0, b.Cols), b.Row(k)...) // non-nil when empty
+		rows[k] = append(make([]float64, 1, 1+b.Cols), b.Row(k)...)[1:] // non-nil when empty
 	}
 	return rows
 }
@@ -103,7 +126,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // salted is a random rows×cols matrix in which about a quarter of the entries
-// are exact zeros of either sign, so the zero-skip path and −0 + +0 are hit.
+// are exact zeros of either sign, so the zero-skip path and −0 + +0 are hit,
+// stored at an odd offset.
 func salted(rng *rand.Rand, rows, cols int) *Matrix {
 	m := randomMat(rng, rows, cols)
 	for i := range m.Data {
@@ -114,7 +138,7 @@ func salted(rng *rand.Rand, rows, cols int) *Matrix {
 			m.Data[i] = math.Copysign(0, -1)
 		}
 	}
-	return m
+	return odd(m)
 }
 
 // poisonRow fills row k of b with ±Inf and NaN; the caller zeroes the
@@ -130,11 +154,17 @@ func poisonRow(b *Matrix, k int) {
 // rows, and the model's 20 and 64.
 var tailSizes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 20, 64}
 
-func TestAxpyKernelsMatchReference(t *testing.T) {
+// widths are row lengths: every count of columns left over beside no, one
+// and several vector strips of four, sixteen and thirty-two.
+var widths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65}
+
+func TestAxpyKernelsMatchReference(t *testing.T) { bothPaths(t, testAxpyKernels) }
+
+func testAxpyKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, r := range []int{0, 1, 2, 3, 5} {
 		for _, k := range tailSizes {
-			for _, c := range []int{0, 1, 3, 8, 64} {
+			for _, c := range widths {
 				name := fmt.Sprintf("%dx%d·%dx%d", r, k, k, c)
 				a, b := salted(rng, r, k), salted(rng, k, c)
 				if k > 2 { // an all-zero coefficient column over a poisoned row
@@ -151,11 +181,11 @@ func TestAxpyKernelsMatchReference(t *testing.T) {
 				sameBits(t, "MatMul "+name, MatMul(a, b).Data, want.Data)
 
 				// aᵀ·b with a stored k×r: same coefficients, strided.
-				at := a.T()
+				at := odd(a.T())
 				init := salted(rng, r, c)
 				want = init.Clone()
 				refAddTMatMul(want, at, b)
-				got = init.Clone()
+				got = odd(init)
 				AddTMatMul(got, at, b)
 				sameBits(t, "AddTMatMul "+name, got.Data, want.Data)
 				want.Zero()
@@ -171,7 +201,7 @@ func TestAxpyKernelsMatchReference(t *testing.T) {
 					}
 					coef := a.Row(0)
 					init := salted(rng, 1, c)
-					want, got := init.Clone(), init.Clone()
+					want, got := init.Clone(), odd(init)
 					refAddMatMul(want, FromSlice(1, k-from, coef[from:]), FromSlice(k-from, c, b.Data[from*c:]))
 					AddScaledRows(got.Data, coef, b, from)
 					sameBits(t, fmt.Sprintf("AddScaledRows %s from %d", name, from), got.Data, want.Data)
@@ -181,10 +211,30 @@ func TestAxpyKernelsMatchReference(t *testing.T) {
 				// that lie apart.
 				if r > 0 && k <= tile {
 					init := salted(rng, 1, c)
-					want, got := init.Clone(), init.Clone()
+					want, got := init.Clone(), odd(init)
 					refAddScaledSum(want.Data, a.Row(0), b)
 					AddScaledSum(got.Data, a.Row(0), scatteredRows(b))
 					sameBits(t, "AddScaledSum "+name, got.Data, want.Data)
+				}
+				// Every count of live rows, the dead ones poisoned.
+				for live := 0; r > 0 && k == tile && live <= tile; live++ {
+					coef, rows := make([]float64, tile), b.Clone()
+					for n, i := range rng.Perm(tile) {
+						if n < live {
+							coef[i] = 1 + rng.Float64()
+						} else {
+							coef[i] = math.Copysign(0, float64(i%2)-0.5)
+							poisonRow(rows, i)
+						}
+					}
+					init := salted(rng, 1, c)
+					if c > 0 { // a spare lane that multiplied dst by its 0 would make this NaN
+						init.Data[rng.Intn(c)] = math.Inf(1)
+					}
+					want, got := init.Clone(), odd(init)
+					refAddScaledSum(want.Data, coef, rows)
+					AddScaledSum(got.Data, coef, scatteredRows(rows))
+					sameBits(t, fmt.Sprintf("AddScaledSum %s, %d live", name, live), got.Data, want.Data)
 				}
 			}
 		}
@@ -207,13 +257,21 @@ func maskLeaving(rng *rand.Rand, r, c int, live []int) *Matrix {
 	return m
 }
 
-func TestDotKernelsMatchReference(t *testing.T) {
+func TestDotKernelsMatchReference(t *testing.T) { bothPaths(t, testDotKernels) }
+
+func testDotKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, r := range []int{0, 1, 2, 9} {
 		for _, c := range tailSizes {
-			for _, k := range []int{0, 1, 3, 8, 64} {
+			for _, k := range widths {
 				name := fmt.Sprintf("%dx%d·(%dx%d)ᵀ", r, k, c, k)
 				a, b := salted(rng, r, k), salted(rng, c, k)
+				if k > 2 && r > 1 { // a dot does not skip: 0·±Inf is NaN, in a's last row
+					a.Set(r-1, 1, math.Copysign(0, float64(c%2)-0.5))
+					for j := 0; j < c; j += 3 {
+						b.Set(j, 1, math.Inf(j%2*2-1))
+					}
+				}
 				want, got := salted(rng, r, c), salted(rng, r, c) // overwritten
 				refMatMulT(want, a, b, nil, 0, false)
 				MatMulTInto(got, a, b, nil)
@@ -230,7 +288,7 @@ func TestDotKernelsMatchReference(t *testing.T) {
 						continue
 					}
 					init := salted(rng, r, c)
-					want, got := init.Clone(), init.Clone()
+					want, got := init.Clone(), odd(init)
 					refMatMulT(want, a, b, nil, from, true)
 					AddMatMulT(got, a, b, from)
 					sameBits(t, fmt.Sprintf("AddMatMulT %s from %d", name, from), got.Data, want.Data)
@@ -240,7 +298,7 @@ func TestDotKernelsMatchReference(t *testing.T) {
 						continue
 					}
 					init := salted(rng, 1, c)
-					want, got := init.Clone(), init.Clone()
+					want, got := init.Clone(), odd(init)
 					for j := from; j < c; j++ {
 						want.Data[j] = refDot(a.Row(0), b.Row(j))
 					}
@@ -320,8 +378,19 @@ func (r *byteReader) next() byte {
 	return b
 }
 
+// dim is a row count or length: 0 to 12 mostly, else one that reaches the
+// vector bodies' wider strips and the columns left over beside them.
+func (r *byteReader) dim() int {
+	b := int(r.next())
+	if b < 13*16 {
+		return b % 13
+	}
+	return []int{16, 31, 32, 33, 63, 64, 65, 20}[b%8]
+}
+
+// matrix draws a rows×cols matrix, stored at an odd offset (see odd).
 func (r *byteReader) matrix(rows, cols int) *Matrix {
-	m := New(rows, cols)
+	m := odd(New(rows, cols))
 	for i := range m.Data {
 		if b := r.next(); int(b) < 4*len(fuzzValues) {
 			m.Data[i] = fuzzValues[int(b)%len(fuzzValues)]
@@ -333,7 +402,8 @@ func (r *byteReader) matrix(rows, cols int) *Matrix {
 }
 
 // FuzzKernelsMatchReference draws three shapes, a row offset, a mask and all
-// values from the input bytes and holds every kernel to its reference loop.
+// values from the input bytes and holds every kernel to its reference loop,
+// on both paths (see bothPaths).
 func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add([]byte{2, 64, 20, 0, 200, 100, 50, 25, 12, 6, 3, 1})
 	f.Add([]byte{5, 3, 7, 2, 0, 1, 2, 3, 4, 255, 254, 128, 127, 60, 61})
@@ -345,9 +415,13 @@ func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add([]byte{2, 4, 11, 0, 90, 91, 92, 2, 3, 255, 1, 0, 1, 0, 0})
 	f.Add([]byte{6, 12, 2, 5, 1, 77, 0, 0, 1, 12, 13, 1, 1})
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// 9×64×20 and 4×33×65: whole strips of the vector bodies and one column
+	// left over, eight, four and fewer live rows of 64 under a mask.
+	f.Add([]byte{9, 213, 215, 3, 1, 0, 0, 1, 45, 46, 200, 3, 2, 0, 1, 1, 1, 0, 131, 7})
+	f.Add([]byte{4, 211, 214, 1, 2, 3, 4, 0, 0, 1, 90, 180, 14, 15, 0, 1})
+	check := func(t *testing.T, data []byte) {
 		in := &byteReader{data: data}
-		r, k, c := int(in.next()%10), int(in.next()%13), int(in.next()%13)
+		r, k, c := int(in.next()%10), in.dim(), in.dim()
 		from := 0
 		if r > 0 {
 			from = int(in.next()) % (r + 1)
@@ -360,30 +434,30 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			}
 		}
 
-		want, got := init.Clone().Zero(), init.Clone()
+		want, got := init.Clone().Zero(), odd(init)
 		refAddMatMul(want, a, b)
 		MatMulInto(got, a, b)
 		sameBits(t, "MatMulInto", got.Data, want.Data)
 
-		at := a.T()
-		want, got = init.Clone(), init.Clone()
+		at := odd(a.T())
+		want, got = init.Clone(), odd(init)
 		refAddTMatMul(want, at, b)
 		AddTMatMul(got, at, b)
 		sameBits(t, "AddTMatMul", got.Data, want.Data)
 
-		want, got = init.Clone(), init.Clone()
+		want, got = init.Clone(), odd(init)
 		refMatMulT(want, a, bt, mask, 0, false)
 		MatMulTInto(got, a, bt, mask)
 		sameBits(t, "masked MatMulTInto", got.Data, want.Data)
 
-		want, got = init.Clone(), init.Clone()
+		want, got = init.Clone(), odd(init)
 		refMatMulT(want, a, bt, nil, from, true)
 		AddMatMulT(got, a, bt, from)
 		sameBits(t, "AddMatMulT", got.Data, want.Data)
 
 		if r > 0 {
 			rowFrom := from % (c + 1)
-			want, got = New(1, c), New(1, c)
+			want, got = New(1, c), odd(New(1, c))
 			for j := rowFrom; j < c; j++ {
 				want.Data[j] = refDot(a.Row(0), bt.Row(j))
 			}
@@ -391,16 +465,22 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			sameBits(t, "DotRows", got.Data, want.Data)
 
 			rowFrom = from % (k + 1)
-			want, got = init.Clone(), init.Clone()
+			want, got = init.Clone(), odd(init)
 			refAddMatMul(FromSlice(1, c, want.Row(0)), FromSlice(1, k-rowFrom, a.Row(0)[rowFrom:]), FromSlice(k-rowFrom, c, b.Data[rowFrom*c:]))
 			AddScaledRows(got.Row(0), a.Row(0), b, rowFrom)
 			sameBits(t, "AddScaledRows", got.Data, want.Data)
 
 			few := FromSlice(min(k, tile), c, b.Data[:min(k, tile)*c])
-			want, got = init.Clone(), init.Clone()
+			want, got = init.Clone(), odd(init)
 			refAddScaledSum(want.Row(0), a.Row(0), few)
 			AddScaledSum(got.Row(0), a.Row(0), scatteredRows(few))
 			sameBits(t, "AddScaledSum", got.Data, want.Data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if goLoopsOnly(t) {
+			check(t, data)
 		}
 	})
 }
