@@ -1,12 +1,8 @@
 package seqfm
 
 import (
-	"net/http"
-
 	"seqfm/internal/httpapi"
-	"seqfm/internal/metrics"
 	"seqfm/internal/serve"
-	"seqfm/internal/traffic"
 )
 
 // Experiments is the multi-model experimentation tier (internal/serve): it
@@ -77,13 +73,6 @@ var (
 // so wiring admission is optional at every call site.
 func NewLimiter(cfg AdmissionConfig) *Limiter { return serve.NewLimiter(cfg) }
 
-// LatencyHist is a concurrent log-bucketed latency histogram (32 buckets per
-// decade from 1µs); Record is lock-free and Snapshot gives p50/p95/p99.
-type LatencyHist = metrics.LatencyHist
-
-// LatencySnapshot is a LatencyHist summary.
-type LatencySnapshot = metrics.LatencySnapshot
-
 // ServerConfig wires the HTTP serving surface (internal/httpapi): the
 // engine and dataset are required; a learner enables /v1/feedback, an
 // Experiments tier routes reads through arm assignment, and the admission
@@ -91,39 +80,10 @@ type LatencySnapshot = metrics.LatencySnapshot
 type ServerConfig = httpapi.Config
 
 // Server is the HTTP serving surface behind seqfm-serve, exposed as a
-// library so tests and the traffic harness drive the exact production
-// handlers in-process.
+// library so tests and the benchmark drive the exact production handlers
+// in-process.
 type Server = httpapi.Server
 
 // NewServer builds the serving surface; (*Server).Routes returns the
 // http.Handler.
 func NewServer(cfg ServerConfig) (*Server, error) { return httpapi.New(cfg) }
-
-// TrafficConfig parameterises the open-loop load generator
-// (internal/traffic): offered rate, duration, Zipf user skew, diurnal rate
-// modulation and endpoint mix. TrafficPlan builds the deterministic
-// schedule; TrafficRun replays it against any http.Handler and reports
-// per-endpoint latency percentiles, shed and error rates.
-type TrafficConfig = traffic.Config
-
-// TrafficReport is one load run's measured outcome.
-type TrafficReport = traffic.Report
-
-// TrafficSLO defines "sustainable" for TrafficSaturation: a shed-rate budget
-// and an admitted read-p99 bound.
-type TrafficSLO = traffic.SLO
-
-// TrafficPlan builds the deterministic request schedule for cfg.
-func TrafficPlan(cfg TrafficConfig) ([]traffic.Request, error) { return traffic.Plan(cfg) }
-
-// TrafficRun replays a plan against h in open loop.
-func TrafficRun(h http.Handler, plan []traffic.Request) *TrafficReport {
-	return traffic.Run(h, plan)
-}
-
-// TrafficSaturation searches for the highest offered rate h sustains under
-// the SLO (geometric ramp, then bisection) and returns it with every
-// probe's report.
-func TrafficSaturation(h http.Handler, cfg TrafficConfig, slo TrafficSLO, maxProbes int) (float64, []*TrafficReport, error) {
-	return traffic.Saturation(h, cfg, slo, maxProbes)
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"seqfm/internal/feature"
-	"seqfm/internal/metrics"
 	"seqfm/internal/obs"
 	"seqfm/internal/online"
 	"seqfm/internal/serve"
@@ -542,7 +541,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 // latencyJSON renders one latency snapshot in milliseconds.
-func latencyJSON(s metrics.LatencySnapshot) map[string]any {
+func latencyJSON(s obs.Snapshot) map[string]any {
 	return map[string]any{
 		"count":   s.Count,
 		"mean_ms": float64(s.Mean.Microseconds()) / 1000,

@@ -1,9 +1,8 @@
 // Package httpapi is seqfm-serve's HTTP layer, extracted from the command so
-// the handler stack is a library: the traffic harness (seqfm-bench -mode
-// traffic) drives the exact handlers production serves instead of a
-// reimplementation, fuzz tests can attack the JSON decoding surface without
-// booting a process, and the command shrinks to flag parsing plus subsystem
-// wiring.
+// the handler stack is a library: the benchmark (benchmark/) drives the exact
+// handlers production serves instead of a reimplementation, fuzz tests can
+// attack the JSON decoding surface without booting a process, and the
+// command shrinks to flag parsing plus subsystem wiring.
 //
 // The layer composes three concerns around the serving engines:
 //
@@ -256,7 +255,7 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 }
 
 // AdmissionStats reports the limiters' counters (zero values when admission
-// is off) — the traffic harness reads shed counts here.
+// is off) — /v1/model reports shed counts from here.
 func (s *Server) AdmissionStats() (read, feedback serve.AdmissionStats) {
 	return s.readLimiter.Stats(), s.feedbackLimiter.Stats()
 }

@@ -297,8 +297,7 @@ func (s *Server) registerExperiments(reg *obs.Registry) {
 }
 
 // Registry returns the server's metric registry — the one /metrics exposes.
-// Callers (the command, tests, the traffic harness) may register additional
-// families on it.
+// Callers (the command, tests) may register additional families on it.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // MetricsHandler returns the Prometheus text-exposition handler. Routes

@@ -125,16 +125,6 @@ func NewHNSW(s *Store, cfg Config) *HNSW {
 	return h
 }
 
-// SetEfSearch changes the query-time beam width — the recall/latency knob
-// — without touching the graph. Not safe concurrently with Search; it
-// exists for offline sweeps (seqfm-bench) and reconfiguration between
-// traffic phases, not per-request tuning.
-func (h *HNSW) SetEfSearch(ef int) {
-	if ef > 0 {
-		h.cfg.EfSearch = ef
-	}
-}
-
 // Len returns the number of indexed items.
 func (h *HNSW) Len() int { return h.store.Len() }
 

@@ -51,7 +51,7 @@ const (
 	BackendFlat
 )
 
-// String names the backend the way BENCH_index.json and /v1/model do.
+// String names the backend the way /v1/model does.
 func (b Backend) String() string {
 	switch b {
 	case BackendHNSW:

@@ -5,17 +5,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"seqfm/internal/obs"
 )
 
+// Latency is recorded in obs.Histogram, the repo's one histogram; these
+// tests hold it at the millisecond scales the experiment tier reports.
+
 func TestLatencyHistEmpty(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatalf("empty histogram not all-zero: %+v", h.Snapshot())
 	}
 }
 
 func TestLatencyHistQuantiles(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	// 1..1000 ms uniformly: p50 ≈ 500ms, p99 ≈ 990ms, within the bucket
 	// resolution's ~7.5% relative error.
 	for i := 1; i <= 1000; i++ {
@@ -49,7 +54,7 @@ func TestLatencyHistQuantiles(t *testing.T) {
 }
 
 func TestLatencyHistBounds(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	h.Record(-time.Second) // clamped to 0
 	h.Record(0)
 	h.Record(100 * time.Hour) // beyond the top bucket
@@ -67,7 +72,7 @@ func TestLatencyHistBounds(t *testing.T) {
 }
 
 func TestLatencyHistConcurrent(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -140,8 +140,8 @@ type Samples []Sample
 // ParsePrometheus reads text exposition produced by WritePrometheus (or any
 // conforming subset of the format): comment and blank lines are skipped,
 // every other line must be `name[{labels}] value`. It is the scanner behind
-// the golden test and the traffic bench's harness-vs-server cross-check —
-// deliberately minimal, not a general Prometheus client.
+// the round-trip tests — deliberately minimal, not a general Prometheus
+// client.
 func ParsePrometheus(r io.Reader) (Samples, error) {
 	var out Samples
 	sc := bufio.NewScanner(r)

@@ -33,10 +33,8 @@ const (
 // Histogram is a concurrency-safe log-bucketed duration histogram. The zero
 // value is ready to use; Record never allocates or blocks, so it can sit on
 // a request hot path. It is the one latency-accounting implementation in the
-// repo: internal/metrics.LatencyHist aliases it, so the experiments tier,
-// the traffic harness and the registry all bucket identically — which is
-// what lets the traffic bench cross-check harness-side and server-side
-// percentiles against each other.
+// repo: the experiments tier, the registry and the /metrics exposition all
+// bucket identically.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64

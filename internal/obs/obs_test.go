@@ -103,6 +103,25 @@ func TestRegistryWithReturnsSameChild(t *testing.T) {
 	}
 }
 
+// The calls every instrumented request and every returned top-K item pay —
+// Record on a pre-resolved histogram child, Add on a pre-resolved counter
+// child, and ScoreSketch.Record — must not allocate.
+func TestHotRecordPathAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	hist := r.NewHistogramVec("h_seconds", "h", "stage").With("rerank")
+	ctr := r.NewCounterVec("c_total", "h", "endpoint", "code").With("topk", "200")
+	var sketch ScoreSketch
+	for name, f := range map[string]func(){
+		"HistogramVec child Record": func() { hist.Record(time.Microsecond) },
+		"CounterVec child Add":      func() { ctr.Add(1) },
+		"ScoreSketch.Record":        func() { sketch.Record(1.5) },
+	} {
+		if a := testing.AllocsPerRun(1000, f); a != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, a)
+		}
+	}
+}
+
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("m", "h")

@@ -134,6 +134,13 @@ func TestCompactedRecoveryBitIdentical(t *testing.T) {
 		// log; every surviving step marker re-trains.
 		t.Fatalf("replay of a compacted suffix skipped %d steps", rst.SkippedSteps)
 	}
+	// Recovery replays exactly the suffix past the checkpoint's cut, which is
+	// strictly fewer records than a full-log replay of the same stream.
+	// Records between FirstSeq and the cut survive on disk (compaction
+	// unlinks whole sealed segments) but are covered by the checkpoint.
+	if last, cut := logR.Pos().Seq, fR.Log.Seq; uint64(rst.Records) != last-cut || uint64(rst.Records) >= last {
+		t.Fatalf("replayed %d records; want the %d past cut %d of a log ending at seq %d", rst.Records, last-cut, cut, last)
+	}
 	driveRun(t, lR, events, crashAt, len(events), syncAt, 0)
 
 	assertParamsEqual(t, lU.model, lR.model, "compacted recovery vs uninterrupted")

@@ -38,8 +38,7 @@ func benchCandidates(inst feature.Instance, n int) []feature.Instance {
 	return insts
 }
 
-// BenchmarkExecScore is one compiled inference forward — compare against
-// bench_test.go's BenchmarkSeqFMForward (the tape path).
+// BenchmarkExecScore is one compiled inference forward.
 func BenchmarkExecScore(b *testing.B) {
 	m, inst := benchModel(b)
 	pl, err := plan.For(m)

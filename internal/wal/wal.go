@@ -101,7 +101,7 @@ const (
 	SyncNone
 )
 
-// String names the policy as the CLI and BENCH_wal.json spell it.
+// String names the policy as seqfm-serve -wal-sync and /v1/model spell it.
 func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEach:

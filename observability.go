@@ -27,8 +27,8 @@ type MetricsRegistry = obs.Registry
 // families and your own.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// Counter and Gauge are the registry's scalar instruments; LatencyHist (the
-// log-bucketed histogram, also behind LatencySnapshot) is its third kind.
+// Counter and Gauge are the registry's scalar instruments; HistogramVec's
+// children, log-bucketed latency histograms, are its third kind.
 // The Vec forms are labeled families whose children are resolved once at
 // wiring time (With/Attach) so hot-path recording stays allocation-free.
 type (
@@ -73,9 +73,9 @@ type (
 	MetricSamples = obs.Samples
 )
 
-// ParseMetrics reads Prometheus text exposition back into samples — the
-// scanner the traffic bench uses to cross-check the server's own series
-// against harness-observed counts and percentiles.
+// ParseMetrics reads Prometheus text exposition back into samples, for
+// cross-checking the server's own series against client-observed counts and
+// percentiles.
 func ParseMetrics(r io.Reader) (MetricSamples, error) { return obs.ParsePrometheus(r) }
 
 // ScoreSketch is a streaming quantile sketch of served scores: fixed linear
