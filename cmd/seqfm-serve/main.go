@@ -80,11 +80,10 @@
 // primary, reads spread across its followers with primary fallback, and a
 // 409 fence triggers one map reload + retry.
 //
-// Engines and observability: -engine forces the scoring engine — "compiled"
-// (the preallocated plan engine, the default for SeqFM) or "tape" (the
-// autodiff reference path); with -online it selects the fine-tuning engine
-// too, so a follower must be started with its primary's -engine. /v1/model
-// reports which engine the serving generation runs on. GET /metrics serves
+// Engines and observability: SeqFM is boot-trained, served, fine-tuned and
+// replayed on the compiled execution plan — there is no engine to choose, so
+// a follower always replays on its primary's engine. /v1/model reports which
+// engine the serving generation runs on. GET /metrics serves
 // Prometheus text exposition and GET /v1/debug/slow the slow-request
 // exemplar ring. -pprof ADDR exposes net/http/pprof on a side listener kept
 // off the serving mux (and off its admission control), so profiles stay
@@ -152,7 +151,6 @@ func main() {
 		maxDelay    = flag.Duration("max-delay", 0, "micro-batch flush deadline (0 = default)")
 		staticCache = flag.Int("static-cache", 0, "static-view cache entries (0 = default, <0 = off)")
 		dynCache    = flag.Int("dyn-cache", 0, "dynamic-state cache entries (0 = default, <0 = off)")
-		engineSel   = flag.String("engine", "", "scoring/fine-tuning engine: compiled (plan; serving default) | tape (autodiff reference)")
 		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this side listener address, e.g. localhost:6060 (empty = off)")
 
 		indexOn      = flag.Bool("index", false, "build the full-catalog retrieval index (/v1/recommend)")
@@ -244,12 +242,6 @@ func main() {
 	}
 	requireFlag("-experiment", *experiment != "", "experiment-weight", "experiment-salt", "experiment-hr-sample")
 	requireFlag("-max-concurrent", *maxConc > 0, "admit-queue", "admit-wait")
-	switch *engineSel {
-	case "", serve.EngineTape, serve.EngineCompiled:
-	default:
-		fmt.Fprintf(os.Stderr, "seqfm-serve: unknown -engine %q (want tape or compiled)\n", *engineSel)
-		os.Exit(1)
-	}
 	if *follow != "" {
 		// A follower is a read replica driven entirely by its primary's log:
 		// local training, durability and checkpointing flags contradict it.
@@ -275,11 +267,9 @@ func main() {
 			MaxDelay:        *maxDelay,
 			StaticCacheSize: *staticCache,
 			DynCacheSize:    *dynCache,
-			Engine:          *engineSel,
 		},
-		trainEngine: *engineSel,
-		pprof:       *pprofAddr,
-		index:       *indexOn, indexBackend: *indexBackend, indexM: *indexM,
+		pprof: *pprofAddr,
+		index: *indexOn, indexBackend: *indexBackend, indexM: *indexM,
 		indexEfConstruction: *indexEfCons, indexEfSearch: *indexEfSrch,
 		indexBuildWorkers: *indexWorkers, recallSample: *recallSample,
 		online: *onlineOn, onlineInterval: *onlineEvery, onlineBatch: *onlineBatch,
@@ -351,7 +341,6 @@ type serveOpts struct {
 	slowThreshold  time.Duration
 	alertRulesPath string
 
-	trainEngine string
 	pprof       string
 	drainBudget time.Duration
 }
@@ -566,7 +555,6 @@ func run(o serveOpts) error {
 				LR:        o.onlineLR,
 				Workers:   o.engine.Workers,
 				Negatives: p.Negatives,
-				Engine:    o.trainEngine,
 			},
 			BatchSize: o.onlineBatch,
 			Interval:  o.onlineInterval,
@@ -730,7 +718,6 @@ func runFollower(o serveOpts) error {
 			Seed:      o.seed,
 			Workers:   o.engine.Workers,
 			Negatives: p.Negatives,
-			Engine:    o.trainEngine,
 		},
 	})
 	if err != nil {

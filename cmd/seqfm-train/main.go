@@ -29,7 +29,6 @@ func main() {
 		scale   = flag.String("scale", "small", "tiny|small|medium|full")
 		epochs  = flag.Int("epochs", 0, "override training epochs (0 = scale default)")
 		seed    = flag.Int64("seed", 7, "master seed")
-		engine  = flag.String("engine", "", "training engine: tape (default; all models) | compiled (plan; seqfm only)")
 		verbose = flag.Bool("v", true, "log per-epoch loss")
 	)
 	flag.Parse()
@@ -40,13 +39,13 @@ func main() {
 		p.Epochs = *epochs
 	}
 
-	if err := run(p, *dataset, *model, *engine, *verbose); err != nil {
+	if err := run(p, *dataset, *model, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "seqfm-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run(p experiments.Params, dataset, model, engine string, verbose bool) error {
+func run(p experiments.Params, dataset, model string, verbose bool) error {
 	ds, err := buildDataset(p, dataset)
 	if err != nil {
 		return err
@@ -78,7 +77,6 @@ func run(p experiments.Params, dataset, model, engine string, verbose bool) erro
 	}
 
 	cfg := p.TrainConfig()
-	cfg.Engine = engine // "compiled" errors on baselines: only SeqFM has a plan spec
 	if verbose {
 		cfg.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	}

@@ -44,9 +44,11 @@ type TopKRequest = serve.TopKRequest
 type Item = serve.Item
 
 // NewEngine builds an inference engine over a model snapshot. SeqFM models
-// get the fully cached scoring path; baseline models (any Scorer) still get
-// tape reuse and parallel fan-out. The weights of the served model must stay
-// immutable while a generation serves them — to deploy new weights, publish
-// a clone with (*Engine).Swap (zero-downtime, non-blocking; see the online
-// subsystem), or call (*Engine).InvalidateCaches after an in-place update.
+// are compiled into a frozen execution plan per published generation and get
+// the fully cached scoring path; baseline models (any Scorer) are scored on
+// pooled tapes with parallel fan-out. The weights of the served model must
+// stay immutable while a generation serves them — to deploy new weights,
+// publish a clone with (*Engine).Swap (zero-downtime, non-blocking; see the
+// online subsystem), or call (*Engine).InvalidateCaches after an in-place
+// update.
 func NewEngine(m Scorer, cfg EngineConfig) *Engine { return serve.NewEngine(m, cfg) }

@@ -12,34 +12,24 @@ import (
 	"seqfm/internal/feature"
 )
 
-// TestCompiledGenerationMatchesTape pins the serving engines against each
-// other at the public API: a compiled engine (the default) and a forced-tape
-// engine over the same weights return bit-identical batch scores and top-K
-// lists, and report their engine in Stats.
+// TestCompiledGenerationMatchesTape pins the compiled serving engine against
+// the ground truth at the public API: over a SeqFM model every generation
+// serves through its plan, and its batch scores and top-K lists are
+// bit-identical to a fresh-tape Score (refScore) per instance.
 func TestCompiledGenerationMatchesTape(t *testing.T) {
 	m := testModel(t)
 	comp := NewEngine(m, Config{Workers: 3})
 	defer comp.Close()
-	tape := NewEngine(m, Config{Workers: 3, Engine: EngineTape})
-	defer tape.Close()
 
 	if st := comp.Stats(); st.Engine != EngineCompiled {
-		t.Fatalf("default engine serves %q, want compiled", st.Engine)
-	}
-	if st := tape.Stats(); st.Engine != EngineTape {
-		t.Fatalf("forced tape engine serves %q", st.Engine)
+		t.Fatalf("SeqFM engine serves %q, want compiled", st.Engine)
 	}
 
 	insts := testInstances(64, 3)
-	// Two passes: the second is served from warm dynamic/static caches on
-	// both engines.
+	// Two passes: the second is served from warm dynamic/static caches.
 	for pass := 0; pass < 2; pass++ {
 		cs := comp.ScoreBatch(insts)
-		ts := tape.ScoreBatch(insts)
 		for i := range insts {
-			if cs[i] != ts[i] {
-				t.Fatalf("pass %d inst %d: compiled %v != tape %v (not bit-identical)", pass, i, cs[i], ts[i])
-			}
 			if want := refScore(m, insts[i]); cs[i] != want {
 				t.Fatalf("pass %d inst %d: compiled %v != fresh-tape ref %v", pass, i, cs[i], want)
 			}
@@ -48,17 +38,21 @@ func TestCompiledGenerationMatchesTape(t *testing.T) {
 
 	base := feature.Instance{User: 3, Hist: []int{4, 9, 2}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
 	req := TopKRequest{Base: base, Candidates: []int{0, 5, 9, 14, 21, 28}, K: 4}
-	ck := comp.TopK(req)
-	tk := tape.TopK(req)
-	for i := range ck {
-		if ck[i] != tk[i] {
-			t.Fatalf("top-K item %d: compiled %+v != tape %+v", i, ck[i], tk[i])
-		}
+	var want []Item
+	for _, o := range req.Candidates {
+		inst := base
+		inst.Target = o
+		want = append(want, Item{Object: o, Score: refScore(m, inst)})
+	}
+	slices.SortFunc(want, compareItems)
+	want = want[:req.K]
+	if ck := comp.TopK(req); !slices.Equal(ck, want) {
+		t.Fatalf("top-K: compiled %+v, fresh-tape ref %+v", ck, want)
 	}
 }
 
-// scorerOnly hides the model's FastScorer/Spec surface: the shape of a
-// baseline model.
+// scorerOnly hides the model's Spec and cached-scoring surface: the shape of
+// a baseline model.
 type scorerOnly struct{ m *core.Model }
 
 func (s scorerOnly) Score(t *ag.Tape, inst feature.Instance) *ag.Node {
@@ -66,11 +60,10 @@ func (s scorerOnly) Score(t *ag.Tape, inst feature.Instance) *ag.Node {
 }
 
 // TestCompiledEngineFallsBackForPlainScorers pins the fallback: a model with
-// no compilable spec serves through the tape even when compilation is
-// requested, with identical results.
+// no compilable spec serves through the tape, with identical results.
 func TestCompiledEngineFallsBackForPlainScorers(t *testing.T) {
 	m := testModel(t)
-	e := NewEngine(scorerOnly{m}, Config{Workers: 2, Engine: EngineCompiled})
+	e := NewEngine(scorerOnly{m}, Config{Workers: 2})
 	defer e.Close()
 	if st := e.Stats(); st.Engine != EngineTape {
 		t.Fatalf("spec-less model reports engine %q, want tape fallback", st.Engine)

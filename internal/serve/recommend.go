@@ -31,7 +31,7 @@ import (
 // engine to build catalog indexes and derive queries: read-only access to
 // the static item-embedding space. *core.Model implements it.
 type Embedder interface {
-	FastScorer
+	Scorer
 	// EmbedDim is the embedding width d.
 	EmbedDim() int
 	// ObjectEmbedding copies object o's static embedding row into dst

@@ -1,30 +1,25 @@
 // Package serve is the batched inference engine: the serving-side
-// counterpart of internal/train. Where training runs one tape per example
-// and throws it away, the engine keeps a pool of pre-sized tapes that are
-// Reset between forward passes, shares the candidate-independent dynamic
-// view of SeqFM across every candidate scored against the same history, and
-// memoises static-view vectors per (user, candidate, attrs) so repeated
-// top-K traffic only pays for the cross view — the deployment shape of
-// sequence-aware recommenders, where a model scores a few hundred candidate
-// objects per request under a latency budget.
+// counterpart of internal/train. Every published generation of a SeqFM model
+// is compiled into a frozen execution plan (internal/plan) whose pooled
+// Execs score without building tapes; the engine shares the
+// candidate-independent dynamic view across every candidate scored against
+// the same history, and memoises static-view vectors per (user, candidate,
+// attrs) so repeated top-K traffic only pays for the cross view — the
+// deployment shape of sequence-aware recommenders, where a model scores a few
+// hundred candidate objects per request under a latency budget.
 //
-// The engine is model-agnostic: any Scorer (SeqFM or the baseline zoo) gets
-// tape reuse and the worker pool; a FastScorer (SeqFM) additionally gets the
-// dynamic-state and static-view caches. Since the candidate-sharing
-// refactor, serving and training consume the same two-phase forward
-// (core.ForwardDynamic/ForwardCandidate): a DynState is a value snapshot of
-// the very subgraph the trainers differentiate through, so there is no
-// serving-only scoring logic to drift. All scoring paths are bit-for-bit
-// identical to a per-instance Score on a fresh tape — the caches only
-// memoise values the monolithic pass would recompute, never approximate
-// them.
+// The engine is model-agnostic: a model with no compilable spec (the
+// baseline zoo) is scored with a plain Score per instance on pooled,
+// pre-sized tapes, without the caches. Both paths are bit-for-bit identical
+// to a per-instance Score on a fresh tape — the caches only memoise values
+// the monolithic pass would recompute, never approximate them.
 //
 // Concurrency and hot-swap model: an Engine is safe for concurrent use.
-// Batches fan out over train.ParallelEach workers, each with its own tape.
-// The served weights live in an immutable generation snapshot — the model
-// reference plus that generation's private memo caches — published through
-// one atomic pointer (RCU style). Every request loads the pointer once and
-// runs entirely against that snapshot, so Swap is non-blocking and
+// Batches fan out over train.ParallelEach workers, each with its own Exec or
+// tape. The served weights live in an immutable generation snapshot — the
+// model reference plus that generation's private memo caches — published
+// through one atomic pointer (RCU style). Every request loads the pointer
+// once and runs entirely against that snapshot, so Swap is non-blocking and
 // zero-downtime: in-flight requests finish on the generation they started
 // with while new requests see the new weights, and a stale cache entry can
 // never leak across generations because the caches are part of the snapshot.
@@ -52,17 +47,14 @@ import (
 	"seqfm/internal/train"
 )
 
-// Scoring engines a generation can serve with. The compiled engine lowers the
-// model into a preallocated execution plan (internal/plan) at publish time and
-// scores without building tapes; the tape engine interprets the autodiff tape.
-// Both produce bit-identical scores (pinned by internal/plan's parity tests
-// and TestCompiledGenerationMatchesTape), so the choice is purely a
-// performance one.
+// The scoring engines Stats.Engine reports. A generation serves compiled —
+// through a frozen execution plan built at publish time — exactly when its
+// model exposes a compilable spec (core.Model does); the baselines are served
+// on the tape. Scores are bit-identical to a fresh-tape Score either way
+// (pinned by internal/plan's parity tests and
+// TestCompiledGenerationMatchesTape).
 const (
-	// EngineTape forces tape interpretation for every model.
-	EngineTape = "tape"
-	// EngineCompiled requests plan compilation; models without a compilable
-	// spec (the baselines) transparently fall back to the tape.
+	EngineTape     = "tape"
 	EngineCompiled = "compiled"
 )
 
@@ -71,15 +63,6 @@ const (
 // repository (SeqFM and the eleven baselines) satisfies it.
 type Scorer interface {
 	Score(t *ag.Tape, inst feature.Instance) *ag.Node
-}
-
-// FastScorer is the cached serving contract implemented by *core.Model: the
-// forward pass split into a candidate-independent dynamic state and a
-// candidate-dependent remainder, with an externally cacheable static view.
-type FastScorer interface {
-	Scorer
-	PrecomputeDynamic(t *ag.Tape, hist []int) *core.DynState
-	ScoreFast(t *ag.Tape, dyn *core.DynState, inst feature.Instance, hS *tensor.Matrix) (float64, *tensor.Matrix)
 }
 
 // Defaults for Config's zero fields.
@@ -121,11 +104,6 @@ type Config struct {
 	// the same generation) and Recommend becomes available. See
 	// recommend.go.
 	Index *IndexConfig
-	// Engine selects the scoring engine: "" or EngineCompiled compile the
-	// served model into an execution plan when it exposes one (core.Model
-	// does; baselines fall back to the tape), EngineTape forces tape
-	// interpretation. Scores are bit-identical either way.
-	Engine string
 }
 
 func (c Config) withDefaults() Config {
@@ -165,13 +143,12 @@ func staticKeyOf(inst feature.Instance) staticKey {
 type generation struct {
 	id    uint64
 	model Scorer
-	fast  FastScorer // nil when model is not a FastScorer
-	// plan is the generation's compiled execution plan; nil when the engine
-	// is configured for tape scoring or the model has no compilable spec.
-	// Compiled at publish time, so every request against this generation
-	// scores through preallocated plan buffers instead of tape nodes. It is a
-	// frozen plan: a generation's weights are immutable by Swap's contract,
-	// so its projected-embedding tables live and die with the generation.
+	// plan is the generation's compiled execution plan; nil when the model
+	// has no compilable spec. Compiled at publish time, so every request
+	// against this generation scores through preallocated plan buffers
+	// instead of tape nodes. It is a frozen plan: a generation's weights are
+	// immutable by Swap's contract, so its projected-embedding tables live
+	// and die with the generation.
 	plan *plan.Plan
 	// born is the publish wall-clock (UnixNano), read by the experiment
 	// tier's swap-lag metric: how long new weights sit published before the
@@ -239,10 +216,10 @@ type Stats struct {
 }
 
 // Engine scores instances against an atomically swappable model snapshot
-// with pooled tapes, cached partial forwards and data-parallel fan-out.
-// Create one with NewEngine and share it between goroutines; Swap publishes
-// new weights without blocking readers; Close releases the accumulator
-// timer.
+// with pooled plan Execs (or tapes), cached partial forwards and
+// data-parallel fan-out. Create one with NewEngine and share it between
+// goroutines; Swap publishes new weights without blocking readers; Close
+// releases the accumulator timer.
 type Engine struct {
 	cfg Config
 
@@ -309,9 +286,9 @@ type pendingScore struct {
 	ch   chan float64
 }
 
-// NewEngine builds an engine serving m as generation 1. If m implements
-// FastScorer (SeqFM does), the cached dynamic/static path is used; otherwise
-// the engine still provides tape reuse and parallel fan-out.
+// NewEngine builds an engine serving m as generation 1. If m compiles into an
+// execution plan (SeqFM does), the cached dynamic/static path is used;
+// otherwise the engine still provides tape reuse and parallel fan-out.
 func NewEngine(m Scorer, cfg Config) *Engine {
 	e := &Engine{cfg: cfg.withDefaults()}
 	e.cur.Store(e.newGeneration(m))
@@ -321,13 +298,8 @@ func NewEngine(m Scorer, cfg Config) *Engine {
 // newGeneration wraps m in a fresh snapshot with empty caches.
 func (e *Engine) newGeneration(m Scorer) *generation {
 	g := &generation{id: e.gens.Add(1), model: m, born: time.Now().UnixNano()}
-	if f, ok := m.(FastScorer); ok {
-		g.fast = f
-	}
-	if g.fast != nil && e.cfg.Engine != EngineTape {
-		if pl, err := plan.Frozen(m); err == nil {
-			g.plan = pl
-		}
+	if pl, err := plan.Frozen(m); err == nil {
+		g.plan = pl
 	}
 	g.statics = newCache[staticKey, *tensor.Matrix](e.cfg.CachePolicy, e.cfg.StaticCacheSize)
 	g.dyns = newCache[string, *core.DynState](e.cfg.CachePolicy, e.cfg.DynCacheSize)
@@ -499,7 +471,8 @@ func idOf(hist []int) histID {
 
 // dynStates resolves one DynState per instance, deduplicating equal
 // histories within the batch (first by slice identity, then by content),
-// probing the generation's cache, and computing the misses in parallel.
+// probing the generation's cache, and computing the misses in parallel on
+// the generation's plan (g.plan must be non-nil).
 func (e *Engine) dynStates(g *generation, insts []feature.Instance) []*core.DynState {
 	type slot struct {
 		key   string
@@ -536,16 +509,9 @@ func (e *Engine) dynStates(g *generation, insts []feature.Instance) []*core.DynS
 			e.dynMisses.Add(1)
 		}
 	}
-	if g.plan != nil {
-		e.eachWithExec(g.plan, len(missing), func(ex *plan.Exec, i int) {
-			missing[i].state = ex.PrecomputeDynamic(missing[i].hist)
-		})
-	} else {
-		e.eachWithTape(len(missing), func(t *ag.Tape, i int) {
-			t.Reset()
-			missing[i].state = g.fast.PrecomputeDynamic(t, missing[i].hist)
-		})
-	}
+	e.eachWithExec(g.plan, len(missing), func(ex *plan.Exec, i int) {
+		missing[i].state = ex.PrecomputeDynamic(missing[i].hist)
+	})
 	for _, s := range missing {
 		g.dyns.put(s.key, s.state)
 	}
@@ -563,7 +529,7 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 		return out
 	}
 	e.instances.Add(int64(len(insts)))
-	if g.fast == nil {
+	if g.plan == nil {
 		e.eachWithTape(len(insts), func(t *ag.Tape, i int) {
 			t.Reset()
 			out[i] = g.model.Score(t, insts[i]).Value.ScalarValue()
@@ -584,16 +550,9 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 	}
 	e.staticHits.Add(int64(len(insts) - len(misses)))
 	e.staticMisses.Add(int64(len(misses)))
-	if g.plan != nil {
-		e.eachWithExec(g.plan, len(insts), func(ex *plan.Exec, i int) {
-			out[i], views[i] = ex.ScoreFast(dyns[i], insts[i], views[i])
-		})
-	} else {
-		e.eachWithTape(len(insts), func(t *ag.Tape, i int) {
-			t.Reset()
-			out[i], views[i] = g.fast.ScoreFast(t, dyns[i], insts[i], views[i])
-		})
-	}
+	e.eachWithExec(g.plan, len(insts), func(ex *plan.Exec, i int) {
+		out[i], views[i] = ex.ScoreFast(dyns[i], insts[i], views[i])
+	})
 	for _, i := range misses {
 		if views[i] != nil {
 			g.statics.put(staticKeyOf(insts[i]), views[i])

@@ -72,8 +72,8 @@ func TestScoreBatchMatchesScoreBitForBit(t *testing.T) {
 	}
 }
 
-// plainScorer hides core.Model's FastScorer methods so the engine exercises
-// its generic (cache-less) path — the one every baseline model takes.
+// plainScorer hides core.Model's Spec and cached-scoring methods so the engine
+// exercises its generic (cache-less) path — the one every baseline model takes.
 type plainScorer struct{ m *core.Model }
 
 func (p plainScorer) Score(t *ag.Tape, inst feature.Instance) *ag.Node {

@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"seqfm/internal/data"
@@ -132,6 +133,74 @@ func TestCompiledEngineRejectsUncompilableModels(t *testing.T) {
 	}
 	if _, err := NewStepper(m, d, data.Ranking, nil, cfg); err == nil {
 		t.Fatal("compiled stepper accepted a spec-less model")
+	}
+}
+
+// TestDefaultEngineFollowsModel pins the resolution of an empty
+// Config.Engine: a model with a compilable spec (core.Model) trains exactly
+// as under EngineCompiled, and a spec-less one (monolithicModel) exactly as
+// under EngineTape — same losses and same parameter bits, through both the
+// epoch loop (Ranking) and the incremental engine (NewStepper).
+func TestDefaultEngineFollowsModel(t *testing.T) {
+	d := popularityDataset()
+	split := data.NewSplit(d)
+	cfg := Config{Epochs: 2, BatchSize: 16, LR: 0.01, Negatives: 3, Seed: 5, Workers: 2}
+
+	// trace trains a fresh SeqFM, wrapped or not, on engine and returns every
+	// loss it reported and the bits of its final parameters.
+	trace := func(engine string, wrap, stepper bool) ([]float64, []uint64) {
+		m := seqfmModel(t, d, 0.8)
+		var model Model = m
+		if wrap {
+			model = monolithicModel{m}
+		}
+		c := cfg
+		c.Engine = engine
+		var losses []float64
+		if stepper {
+			s, err := NewStepper(model, d, data.Ranking, nil, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				losses = append(losses, s.Step(split.Train[4*i:4*i+8]))
+			}
+		} else {
+			hist, err := Ranking(model, split, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range hist.Epochs {
+				losses = append(losses, e.Loss)
+			}
+		}
+		var bits []uint64
+		for _, p := range m.Params() {
+			for _, v := range p.Value.Data {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+		return losses, bits
+	}
+
+	for _, tc := range []struct {
+		name   string
+		wrap   bool
+		engine string
+	}{
+		{"core.Model resolves compiled", false, EngineCompiled},
+		{"spec-less model resolves tape", true, EngineTape},
+	} {
+		for _, stepper := range []bool{false, true} {
+			gotL, gotB := trace("", tc.wrap, stepper)
+			wantL, wantB := trace(tc.engine, tc.wrap, stepper)
+			if !slices.Equal(gotL, wantL) {
+				t.Fatalf("%s (stepper %v): default-engine losses %v, want %v", tc.name, stepper, gotL, wantL)
+			}
+			if !slices.Equal(gotB, wantB) {
+				t.Fatalf("%s (stepper %v): default-engine parameters differ from %s's", tc.name, stepper, tc.engine)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"seqfm/internal/data"
 	"seqfm/internal/feature"
 	"seqfm/internal/optim"
-	"seqfm/internal/plan"
 )
 
 // Stepper is the incremental face of the sharded training engine: the same
@@ -58,25 +57,11 @@ func NewStepper(m Model, ds *data.Dataset, task data.Task, opt optim.Optimizer, 
 	}
 	s := &Stepper{m: m, cfg: cfg, opt: opt}
 
-	var pl *plan.Plan
-	switch cfg.Engine {
-	case "", EngineTape:
-		loss, err := lossFor(m, task)
-		if err != nil {
-			return nil, err
-		}
-		s.do = tapeStep(loss, &s.tapeHint)
-	case EngineCompiled:
-		var err error
-		if pl, err = plan.For(m); err != nil {
-			return nil, err
-		}
-		if s.do, err = compiledStepFor(task); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("train: unknown engine %q", cfg.Engine)
+	do, pl, err := engineFor(m, task, cfg.Engine, &s.tapeHint)
+	if err != nil {
+		return nil, err
 	}
+	s.do = do
 
 	s.workers = make([]*worker, cfg.Workers)
 	s.shards = make([]*ag.GradShard, cfg.Workers)

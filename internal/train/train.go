@@ -4,8 +4,9 @@
 // mini-batch Adam procedure of §IV-D.
 //
 // The training engine mirrors the serving engine (internal/serve): each
-// data-parallel worker owns one reusable autodiff tape (Reset between
-// instances, so the node arena is allocated once) and one private gradient
+// data-parallel worker owns one reusable execution state — a compiled
+// plan.Exec for SeqFM, an autodiff tape for the baselines (Reset between
+// instances, so the node arena is allocated once) — and one private gradient
 // shard (ag.GradShard) it flushes into lock-free. Shards are merged into the
 // shared parameters once per minibatch, in worker order, and the optimizer
 // steps on the merged gradients (optim.StepShards) — there is no per-instance
@@ -41,9 +42,10 @@ import (
 // hand-derived backward pass. Both satisfy the same determinism contract
 // within themselves; their gradients agree up to IEEE reassociation (pinned by
 // internal/plan's parity tests), so loss curves match closely but not bit for
-// bit across engines.
+// bit across engines. Left unset, Config.Engine follows the model: SeqFM
+// trains compiled, the baselines on the tape.
 const (
-	// EngineTape is the default: works for every model, including baselines.
+	// EngineTape forces the tape: works for every model, including baselines.
 	EngineTape = "tape"
 	// EngineCompiled requires a model with a compilable spec (core.Model).
 	EngineCompiled = "compiled"
@@ -102,9 +104,10 @@ type Config struct {
 	Seed int64
 	// GradClip caps the global gradient norm per batch; 0 disables.
 	GradClip float64
-	// Engine selects the training engine: EngineTape (the default when empty)
-	// or EngineCompiled. The compiled engine only accepts models exposing a
-	// structural spec (core.Model); other models must stay on the tape.
+	// Engine pins the training engine. Empty (the default) trains compiled
+	// when the model exposes a structural spec (core.Model) and on the tape
+	// otherwise; EngineCompiled errors on spec-less models, EngineTape forces
+	// the tape for any model.
 	Engine string
 	// Logf, when non-nil, receives one line per epoch.
 	Logf func(format string, args ...any)
@@ -237,6 +240,37 @@ func tapeStep(loss lossFn, tapeHint *atomic.Int64) stepFn {
 	}
 }
 
+// engineFor resolves engine for m into the per-instance step and, on the
+// compiled engine, the plan whose Execs the workers drive (nil on the tape).
+// An empty engine is a fact about the model, not a choice: compiled when m
+// exposes a compilable spec (core.Model), the tape otherwise (the baselines)
+// — the rule serving and evaluation already apply. The one resolver behind
+// both the epoch loop (run) and the incremental engine (NewStepper).
+func engineFor(m Model, task data.Task, engine string, tapeHint *atomic.Int64) (stepFn, *plan.Plan, error) {
+	var pl *plan.Plan
+	switch engine {
+	case "":
+		pl, _ = plan.For(m)
+	case EngineCompiled:
+		var err error
+		if pl, err = plan.For(m); err != nil {
+			return nil, nil, err
+		}
+	case EngineTape:
+	default:
+		return nil, nil, fmt.Errorf("train: unknown engine %q", engine)
+	}
+	if pl != nil {
+		step, err := compiledStepFor(task)
+		return step, pl, err
+	}
+	loss, err := lossFor(m, task)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tapeStep(loss, tapeHint), nil, nil
+}
+
 // stepBatch fans one minibatch out over the workers. Each worker runs its
 // strided share of the instances through the engine's step and accumulates
 // gradients into its private shard; per-worker loss sums are combined in
@@ -283,25 +317,9 @@ func run(m Model, split *data.Split, cfg Config, task data.Task) (*History, erro
 	// tape to it before each pass, so late starters pre-size their arena in
 	// one step instead of via append growth. (Tape engine only.)
 	var tapeHint atomic.Int64
-	var pl *plan.Plan
-	var step stepFn
-	switch cfg.Engine {
-	case "", EngineTape:
-		loss, err := lossFor(m, task)
-		if err != nil {
-			return nil, err
-		}
-		step = tapeStep(loss, &tapeHint)
-	case EngineCompiled:
-		var err error
-		if pl, err = plan.For(m); err != nil {
-			return nil, err
-		}
-		if step, err = compiledStepFor(task); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("train: unknown engine %q", cfg.Engine)
+	step, pl, err := engineFor(m, task, cfg.Engine, &tapeHint)
+	if err != nil {
+		return nil, err
 	}
 
 	workers := make([]*worker, cfg.Workers)

@@ -294,7 +294,7 @@ func TestSharedForwardMatchesMonolithicTraining(t *testing.T) {
 			// must agree on exactly. (With several batches per epoch the
 			// optimizer steps in between on gradients that differ by
 			// reassociation, so later batches' losses drift in the last ulp.)
-			cfg := Config{Epochs: 1, BatchSize: 64, LR: 0.01, Negatives: 3, Seed: 5, Workers: 2}
+			cfg := Config{Epochs: 1, BatchSize: 64, LR: 0.01, Negatives: 3, Seed: 5, Workers: 2, Engine: EngineTape}
 
 			shared := seqfmModel(t, d, 1)
 			histShared, err := trainFn(shared, split, cfg)
@@ -341,24 +341,29 @@ func runSeqFM(t *testing.T, cfg Config, keepProb float64) (*History, []*tensor.M
 }
 
 // assertIdenticalRuns pins the Config determinism contract: same
-// {Seed, Workers} ⇒ identical History and bit-identical final parameters.
+// {Seed, Workers} ⇒ identical History and bit-identical final parameters. It
+// holds cfg to it twice: on the tape, and on cfg's own engine (for SeqFM the
+// compiled plan when unset).
 func assertIdenticalRuns(t *testing.T, cfg Config, keepProb float64) {
 	t.Helper()
-	h1, p1 := runSeqFM(t, cfg, keepProb)
-	h2, p2 := runSeqFM(t, cfg, keepProb)
-	if len(h1.Epochs) != len(h2.Epochs) {
-		t.Fatal("epoch counts differ")
-	}
-	for i := range h1.Epochs {
-		if h1.Epochs[i].Loss != h2.Epochs[i].Loss {
-			t.Fatalf("epoch %d loss %v != %v for identical {Seed, Workers}",
-				i+1, h1.Epochs[i].Loss, h2.Epochs[i].Loss)
+	for _, engine := range []string{EngineTape, cfg.Engine} {
+		cfg.Engine = engine
+		h1, p1 := runSeqFM(t, cfg, keepProb)
+		h2, p2 := runSeqFM(t, cfg, keepProb)
+		if len(h1.Epochs) != len(h2.Epochs) {
+			t.Fatal("epoch counts differ")
 		}
-	}
-	for i := range p1 {
-		for j, v := range p1[i].Data {
-			if v != p2[i].Data[j] {
-				t.Fatalf("param %d[%d]: %v != %v for identical {Seed, Workers}", i, j, v, p2[i].Data[j])
+		for i := range h1.Epochs {
+			if h1.Epochs[i].Loss != h2.Epochs[i].Loss {
+				t.Fatalf("engine %q epoch %d loss %v != %v for identical {Seed, Workers}",
+					engine, i+1, h1.Epochs[i].Loss, h2.Epochs[i].Loss)
+			}
+		}
+		for i := range p1 {
+			for j, v := range p1[i].Data {
+				if v != p2[i].Data[j] {
+					t.Fatalf("engine %q param %d[%d]: %v != %v for identical {Seed, Workers}", engine, i, j, v, p2[i].Data[j])
+				}
 			}
 		}
 	}

@@ -23,8 +23,8 @@
 //	fmt.Println(result.HR[10])
 //
 // For serving, NewEngine wraps a trained model in a batched inference
-// engine (pooled tapes, cached partial forwards, top-K scoring); the
-// cmd/seqfm-serve binary exposes it over HTTP.
+// engine (compiled execution plans, cached partial forwards, top-K
+// scoring); the cmd/seqfm-serve binary exposes it over HTTP.
 //
 // See the examples directory for runnable programs covering the paper's
 // three application scenarios, and DESIGN.md/EXPERIMENTS.md for the
