@@ -213,25 +213,43 @@ func (s *Split) SubsetTrain(frac float64) *Split {
 // uniformly — used both to build BPR triples (§IV-A), to sample unobserved
 // negatives for classification training (§IV-B), and to assemble the J
 // ranking candidates of the evaluation protocol (§V-C).
+//
+// Cost is per user touched: the constructor indexes nothing, and the first
+// Sample, SampleN, Seen or MarkSeen that names user u builds u's seen set
+// from the dataset log, which the sampler then keeps. Evaluating a handful
+// of users therefore costs their logs, not the whole dataset's. Because even
+// a read may build a set, a sampler belongs to one goroutine; parallel
+// callers hold one per worker.
 type NegativeSampler struct {
+	ds         *Dataset
 	numObjects int
-	seen       []map[int]bool
+	seen       []map[int]bool // nil until the user is first touched
+	added      map[int][]int  // MarkSeen objects beyond the dataset log
 	rng        *rand.Rand
 }
 
-// NewNegativeSampler indexes the dataset's interactions for rejection
-// sampling.
+// NewNegativeSampler returns a sampler over the dataset's interactions. It
+// makes a constant number of allocations whatever the dataset's size; each
+// user's seen set is built on first touch. The dataset's logs must not
+// change while the sampler is in use — record new interactions with
+// MarkSeen.
 func NewNegativeSampler(d *Dataset, rng *rand.Rand) *NegativeSampler {
-	ns := &NegativeSampler{numObjects: d.NumObjects, rng: rng}
-	ns.seen = make([]map[int]bool, d.NumUsers)
-	for u, log := range d.Users {
-		m := make(map[int]bool, len(log))
-		for _, it := range log {
-			m[it.Object] = true
-		}
-		ns.seen[u] = m
+	return &NegativeSampler{ds: d, numObjects: d.NumObjects, seen: make([]map[int]bool, d.NumUsers), rng: rng}
+}
+
+// userSeen returns user u's seen set, building it from the dataset log the
+// first time u is touched.
+func (ns *NegativeSampler) userSeen(u int) map[int]bool {
+	if m := ns.seen[u]; m != nil {
+		return m
 	}
-	return ns
+	log := ns.ds.Users[u]
+	m := make(map[int]bool, len(log))
+	for _, it := range log {
+		m[it.Object] = true
+	}
+	ns.seen[u] = m
+	return m
 }
 
 // Reseed replaces the sampler's random stream, keeping the indexed
@@ -243,21 +261,31 @@ func (ns *NegativeSampler) Reseed(rng *rand.Rand) { ns.rng = rng }
 // MarkSeen records that user u has now interacted with object o, so later
 // Sample calls stop proposing it as a negative. The online trainer feeds
 // ingested events through this before fine-tuning on them — without it, a
-// freshly trending object would keep being sampled as its own negative. Not
-// safe concurrently with Sample; the callers serialise on the training lock.
+// freshly trending object would keep being sampled as its own negative. An
+// object not already in u's set is also recorded for SeenDelta. Users
+// outside the dataset are ignored.
 func (ns *NegativeSampler) MarkSeen(u, o int) {
 	if u < 0 || u >= len(ns.seen) {
 		return
 	}
-	ns.seen[u][o] = true
+	m := ns.userSeen(u)
+	if m[o] {
+		return
+	}
+	m[o] = true
+	if ns.added == nil {
+		ns.added = make(map[int][]int)
+	}
+	ns.added[u] = append(ns.added[u], o)
 }
 
 // Sample returns one object user u has never interacted with. It falls back
 // to a uniform object if the user has seen (nearly) everything.
 func (ns *NegativeSampler) Sample(u int) int {
+	seen := ns.userSeen(u)
 	for tries := 0; tries < 64; tries++ {
 		o := ns.rng.Intn(ns.numObjects)
-		if !ns.seen[u][o] {
+		if !seen[o] {
 			return o
 		}
 	}
@@ -271,7 +299,7 @@ func (ns *NegativeSampler) Sample(u int) int {
 // candidates the ranking protocol asks for.
 func (ns *NegativeSampler) SampleN(u, n int) []int {
 	// The user's unvisited objects bound how many distinct negatives exist.
-	avail := ns.numObjects - len(ns.seen[u])
+	avail := ns.numObjects - len(ns.userSeen(u))
 	if avail < 1 {
 		avail = 1
 	}
@@ -289,14 +317,20 @@ func (ns *NegativeSampler) SampleN(u, n int) []int {
 }
 
 // Seen reports whether user u has interacted with object o.
-func (ns *NegativeSampler) Seen(u, o int) bool { return ns.seen[u][o] }
+func (ns *NegativeSampler) Seen(u, o int) bool { return ns.userSeen(u)[o] }
 
-// SeenSets exposes the sampler's per-user seen index (indexed by user id).
-// The returned slice and maps are the live index, not a copy — read-only,
-// and only under whatever lock serialises Sample/MarkSeen (the training
-// lock, for the online trainer). Checkpointing uses it to persist the
-// exclusion state a compacted log can no longer rebuild.
-func (ns *NegativeSampler) SeenSets() []map[int]bool { return ns.seen }
+// SeenDelta returns, per user, the objects MarkSeen added beyond the dataset
+// log, each list sorted and copied. Checkpointing persists it: it is the
+// exclusion state a compacted event log can no longer rebuild.
+func (ns *NegativeSampler) SeenDelta() map[int][]int {
+	out := make(map[int][]int, len(ns.added))
+	for u, objs := range ns.added {
+		objs = append([]int(nil), objs...)
+		sort.Ints(objs)
+		out[u] = objs
+	}
+	return out
+}
 
 // SortUsersByLength orders user ids by descending log length; useful for
 // inspection tooling.

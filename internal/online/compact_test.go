@@ -1,16 +1,19 @@
 package online
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"seqfm/internal/ckpt"
+	"seqfm/internal/core"
 	"seqfm/internal/feature"
 	"seqfm/internal/serve"
 	"seqfm/internal/train"
@@ -424,5 +427,78 @@ func TestFollowerBootstrapsFromCompactedPrimary(t *testing.T) {
 		if len(hp) != len(hf) {
 			t.Fatalf("user %d history length %d != %d", u, len(hp), len(hf))
 		}
+	}
+}
+
+// TestStateCheckpointSeenDeltasRoundTrip pins the two seen deltas a state
+// checkpoint carries: they list only objects beyond the dataset logs, each
+// once, and restoring them into a fresh learner captures them unchanged.
+func TestStateCheckpointSeenDeltasRoundTrip(t *testing.T) {
+	ds := testDataset(t)
+	dir := filepath.Join(t.TempDir(), "wal")
+	cfg := func(log *wal.Log) Config {
+		return Config{Train: train.Config{Seed: 5, Workers: 2, LR: 0.03, Negatives: 2}, BatchSize: 8, Log: log}
+	}
+	capture := func(l *Learner) (*core.Model, *ckpt.File) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := l.CheckpointState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m, f, err := ckpt.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, f
+	}
+
+	log, err := wal.Open(dir, compactWALOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := serve.NewEngine(testModel(t, ds, 0.8).Clone(), serve.Config{Workers: 1})
+	defer eng.Close()
+	l, err := NewLearner(testModel(t, ds, 0.8), ds, eng, cfg(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// User 2's log holds object 6; users 1 and 4 have never seen 0, 1 or 7.
+	for _, ev := range []rcEvent{{2, 6}, {1, 0}, {1, 0}, {4, 1}} {
+		if err := l.Ingest(ev.user, ev.object, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Sync()
+	// Ingested but not trained: serving excludes it at once, the sampler
+	// only once it is trained.
+	if err := l.Ingest(4, 7, 1); err != nil {
+		t.Fatal(err)
+	}
+	m, f := capture(l)
+	log.Close()
+	first := f.State
+	if want := map[int][]int{1: {0}, 4: {1, 7}}; !reflect.DeepEqual(first.SeenDelta, want) {
+		t.Fatalf("SeenDelta %v, want %v", first.SeenDelta, want)
+	}
+	if want := map[int][]int{1: {0}, 4: {1}}; !reflect.DeepEqual(first.SamplerSeenDelta, want) {
+		t.Fatalf("SamplerSeenDelta %v, want %v", first.SamplerSeenDelta, want)
+	}
+
+	logR, err := wal.Open(dir, compactWALOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logR.Close()
+	engR := serve.NewEngine(m.Clone(), serve.Config{Workers: 1})
+	defer engR.Close()
+	lR, err := NewLearnerFromSnapshot(m, f, ds, engR, cfg(logR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fR := capture(lR)
+	if second := fR.State; !reflect.DeepEqual(second.SeenDelta, first.SeenDelta) ||
+		!reflect.DeepEqual(second.SamplerSeenDelta, first.SamplerSeenDelta) {
+		t.Fatalf("deltas after restore: seen %v sampler %v; captured seen %v sampler %v",
+			second.SeenDelta, second.SamplerSeenDelta, first.SeenDelta, first.SamplerSeenDelta)
 	}
 }

@@ -198,9 +198,12 @@ type Learner struct {
 	// trainMu, to keep checkpoint resume bit-exact): exclusion must see
 	// an interaction immediately and must never block on — or be lost by
 	// — training, so pending events that age out of the bounded live
-	// history, or are dropped from a full queue, stay excluded.
-	seenMu sync.RWMutex
-	seen   []map[int]bool
+	// history, or are dropped from a full queue, stay excluded. seenAdded
+	// lists, per user, the objects added beyond the dataset seed — what a
+	// state checkpoint persists.
+	seenMu    sync.RWMutex
+	seen      []map[int]bool
+	seenAdded map[int][]int
 
 	// mu guards the pending event queue (the ingest path). The queue is a
 	// slice with a head index: drains and drop-oldest advance head instead
@@ -416,6 +419,7 @@ func newLearner(shadow *core.Model, opt *optim.Adam, steps int64, ds *data.Datas
 		}
 		l.seen[u] = m
 	}
+	l.seenAdded = make(map[int][]int)
 	return l, nil
 }
 
@@ -445,8 +449,17 @@ func (l *Learner) adoptEpoch(e uint64) {
 // markSeen records an interaction in the serving-side exclusion index.
 func (l *Learner) markSeen(user, object int) {
 	l.seenMu.Lock()
-	l.seen[user][object] = true
+	l.addSeenLocked(user, object)
 	l.seenMu.Unlock()
+}
+
+// addSeenLocked adds object to user's seen set, listing it in seenAdded when
+// it is new. seenMu must be held for writing, or the learner not yet shared.
+func (l *Learner) addSeenLocked(user, object int) {
+	if set := l.seen[user]; !set[object] {
+		set[object] = true
+		l.seenAdded[user] = append(l.seenAdded[user], object)
+	}
 }
 
 // Ingest records one interaction: user interacted with object, with the

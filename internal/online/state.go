@@ -30,56 +30,18 @@ import (
 // cut+1.
 
 // seenDelta returns, per user, the serving-side seen objects beyond the
-// dataset seed, sorted. Callers hold l.mu (the capture critical section);
-// seenMu nests inside it on the ingest path too.
+// dataset seed, sorted — the additions markSeen and restoreState recorded.
+// Callers hold l.mu (the capture critical section); seenMu nests inside it
+// on the ingest path too.
 func (l *Learner) seenDelta() map[int][]int {
-	out := make(map[int][]int)
 	l.seenMu.RLock()
-	for u, set := range l.seen {
-		base := make(map[int]bool, len(l.ds.Users[u]))
-		for _, it := range l.ds.Users[u] {
-			base[it.Object] = true
-		}
-		var objs []int
-		for o := range set {
-			if !base[o] {
-				objs = append(objs, o)
-			}
-		}
-		if len(objs) > 0 {
-			sort.Ints(objs)
-			out[u] = objs
-		}
+	out := make(map[int][]int, len(l.seenAdded))
+	for u, objs := range l.seenAdded {
+		objs = append([]int(nil), objs...)
+		sort.Ints(objs)
+		out[u] = objs
 	}
 	l.seenMu.RUnlock()
-	return out
-}
-
-// samplerSeenDelta returns, per user, the trainer's negative-sampling
-// exclusions beyond the dataset seed, sorted; nil for regression (no
-// sampler). trainMu must be held — the sets are live sampler state.
-func (l *Learner) samplerSeenDelta() map[int][]int {
-	sets := l.stepper.SamplerSeen()
-	if sets == nil {
-		return nil
-	}
-	out := make(map[int][]int)
-	for u, set := range sets {
-		base := make(map[int]bool, len(l.ds.Users[u]))
-		for _, it := range l.ds.Users[u] {
-			base[it.Object] = true
-		}
-		var objs []int
-		for o := range set {
-			if !base[o] {
-				objs = append(objs, o)
-			}
-		}
-		if len(objs) > 0 {
-			sort.Ints(objs)
-			out[u] = objs
-		}
-	}
 	return out
 }
 
@@ -109,7 +71,7 @@ func (l *Learner) stateFileLocked() (*ckpt.File, error) {
 	st.Histories = l.store.Export()
 	st.SeenDelta = l.seenDelta()
 	l.mu.Unlock()
-	st.SamplerSeenDelta = l.samplerSeenDelta()
+	st.SamplerSeenDelta = l.stepper.SamplerSeenDelta()
 	st.Generation = l.eng.Generation()
 	st.StepsSincePublish = l.stepsSincePub
 	st.TrainedThroughMS = l.trainedThroughTS.Load()
@@ -191,8 +153,8 @@ func (l *Learner) CheckpointAndCompact(path string) (wal.CompactStats, error) {
 
 // restoreState applies a restored LiveState during construction (single
 // threaded; no locks needed). The learner's store and seen sets are already
-// dataset-seeded, so the deltas land on the same baseline the capture
-// subtracted.
+// dataset-seeded, so the deltas land on the baseline they were recorded
+// against, and are recorded again as additions for the next capture.
 func (l *Learner) restoreState(st *ckpt.LiveState) {
 	l.store.Import(st.Histories)
 	for u, objs := range st.SeenDelta {
@@ -200,7 +162,7 @@ func (l *Learner) restoreState(st *ckpt.LiveState) {
 			continue
 		}
 		for _, o := range objs {
-			l.seen[u][o] = true
+			l.addSeenLocked(u, o)
 		}
 	}
 	for u, objs := range st.SamplerSeenDelta {

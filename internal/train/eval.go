@@ -130,6 +130,10 @@ func ParallelEach(n, workers int, f func(w, i int)) {
 // EvalRanking implements the leave-one-out ranking protocol of §V-C: each
 // held-out positive is ranked against J never-visited negatives and HR@K /
 // NDCG@K are averaged over test cases (Eq. 27).
+//
+// Cost is per user evaluated: each worker owns one data.NegativeSampler,
+// which indexes a user's log the first time that user's case comes up, so a
+// call over a few users does not pay for indexing the whole dataset.
 func EvalRanking(m Model, split *data.Split, cfg EvalConfig) RankingResult {
 	cfg = cfg.withDefaults()
 	insts := cfg.instances(split)

@@ -150,17 +150,18 @@ func (s *Stepper) MarkSeen(user, object int) {
 	}
 }
 
-// SamplerSeen exposes one representative negative-sampling seen index (all
-// workers hold identical sets — MarkSeen fans out to every worker), indexed
-// by user id; nil for regression tasks, which sample no negatives. Live
-// references, read-only, valid only under the caller's training lock — the
-// self-contained checkpoint uses it to persist sampler state a compacted
-// log can no longer rebuild.
-func (s *Stepper) SamplerSeen() []map[int]bool {
+// SamplerSeenDelta returns, per user and sorted, the objects MarkSeen added
+// to the negative-sampling index beyond the dataset (one representative
+// worker's data.NegativeSampler.SeenDelta — MarkSeen fans out to every
+// worker, so all record the same additions); nil for regression tasks, which
+// sample no negatives. The self-contained checkpoint persists it: it is the
+// sampler state a compacted log can no longer rebuild. Not safe
+// concurrently with Step or MarkSeen.
+func (s *Stepper) SamplerSeenDelta() map[int][]int {
 	if len(s.workers) == 0 || s.workers[0].sampler == nil {
 		return nil
 	}
-	return s.workers[0].sampler.SeenSets()
+	return s.workers[0].sampler.SeenDelta()
 }
 
 // Steps returns how many minibatches the stepper has applied. Persist it next
