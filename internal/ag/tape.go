@@ -141,11 +141,6 @@ func (t *Tape) Constant(m *tensor.Matrix) *Node {
 	return t.node(m, false, nil)
 }
 
-// ConstantScalar records a 1×1 non-differentiable leaf holding v.
-func (t *Tape) ConstantScalar(v float64) *Node {
-	return t.Constant(tensor.Scalar(v))
-}
-
 // Var records a differentiable leaf backed by parameter p. The node reads
 // p.Value directly (no copy); its gradient is transferred to p.Grad by
 // FlushGrads.

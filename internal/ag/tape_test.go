@@ -246,7 +246,7 @@ func TestTrainingFlagAndNodeCount(t *testing.T) {
 		t.Fatal("training tape not in training mode")
 	}
 	before := tp.NumNodes()
-	tp.ConstantScalar(1)
+	tp.Constant(tensor.Scalar(1))
 	if tp.NumNodes() != before+1 {
 		t.Fatal("NumNodes did not grow")
 	}
@@ -316,7 +316,7 @@ func TestTapeGrow(t *testing.T) {
 	tp := NewTape()
 	tp.Grow(64)
 	for i := 0; i < 32; i++ {
-		tp.ConstantScalar(float64(i))
+		tp.Constant(tensor.Scalar(float64(i)))
 	}
 	if tp.NumNodes() != 32 {
 		t.Fatalf("NumNodes=%d, want 32", tp.NumNodes())

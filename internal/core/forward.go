@@ -26,8 +26,8 @@ import (
 // holds one dynamic subgraph instead of 1+N copies and the reverse pass
 // backpropagates through it once, with the upstream gradients of all
 // candidates already summed into the shared nodes. Serving exploits it
-// through DynState (infer.go), which snapshots a Dyn's values off-tape and
-// replays them as constants.
+// through the compiled plan (internal/plan), which snapshots the dynamic
+// phase's values as a DynState (infer.go) and scores candidates against it.
 //
 // Exactness: the matmul kernel computes each output row from its own input
 // row alone, so E*·W row-splits into [E°·W ; G·W] bit-exactly and every
@@ -42,8 +42,8 @@ import (
 // Dyn is the on-tape candidate-independent subgraph of one SeqFM forward
 // pass: everything derived from the user's dynamic history. It is valid only
 // for the tape that recorded it and only until that tape is Reset; training
-// shares one Dyn across the 1+N candidates of one instance. For a reusable
-// off-tape snapshot (serving), see DynState.
+// shares one Dyn across the 1+N candidates of one instance. For the reusable
+// value snapshot the compiled plan serves from, see DynState.
 type Dyn struct {
 	// DynIdx is the padded history (Space.PadHist), PadCount its number of
 	// leading padding positions.
@@ -98,15 +98,6 @@ func (m *Model) ForwardDynamic(t *ag.Tape, hist []int) *Dyn {
 // (after its last Reset) from the same history inst carries; only the static
 // fields of inst are read.
 func (m *Model) ForwardCandidate(t *ag.Tape, dyn *Dyn, inst feature.Instance) *ag.Node {
-	score, _ := m.forwardCandidate(t, dyn, inst, nil)
-	return score
-}
-
-// forwardCandidate is ForwardCandidate with the static view injectable: when
-// hS is non-nil it is used in place of the computed static-view vector (the
-// serving engine passes a cached constant). It returns the score node and the
-// static-view node actually used (nil under "Remove SV").
-func (m *Model) forwardCandidate(t *ag.Tape, dyn *Dyn, inst feature.Instance, hS *ag.Node) (*ag.Node, *ag.Node) {
 	sp := m.cfg.Space
 	staticIdx := sp.StaticIndices(inst)
 
@@ -115,23 +106,16 @@ func (m *Model) forwardCandidate(t *ag.Tape, dyn *Dyn, inst feature.Instance, hS
 	linear := t.Add(t.Var(m.w0),
 		t.Add(t.GatherSum(m.wStatic, staticIdx), dyn.linD))
 
-	// The static embedding rows are needed by the static view (unless a
-	// cached vector was injected) and by the cross view; gather at most once.
+	// The static embedding rows feed the static view and the cross view.
 	var eS *ag.Node
-	gatherS := func() *ag.Node {
-		if eS == nil {
-			eS = m.embS.Gather(t, staticIdx)
-		}
-		return eS
+	if !m.cfg.Ablation.NoStaticView || !m.cfg.Ablation.NoCrossView {
+		eS = m.embS.Gather(t, staticIdx)
 	}
 
 	views := make([]*ag.Node, 0, 3)
 	if !m.cfg.Ablation.NoStaticView {
-		if hS == nil {
-			h := m.attnS.Forward(t, gatherS(), nil) // Eq. (8)
-			hS = m.ffn.Forward(t, t.MeanRows(h))
-		}
-		views = append(views, hS)
+		h := m.attnS.Forward(t, eS, nil) // Eq. (8)
+		views = append(views, m.ffn.Forward(t, t.MeanRows(h)))
 	}
 	if !m.cfg.Ablation.NoDynamicView {
 		views = append(views, dyn.hD)
@@ -145,10 +129,9 @@ func (m *Model) forwardCandidate(t *ag.Tape, dyn *Dyn, inst feature.Instance, hS
 		// projected here; the n. dynamic rows of Q/K/V come from the shared
 		// subgraph. The reassembled matrices equal a full E*·W projection bit
 		// for bit because the matmul kernel is row-independent.
-		eSn := gatherS()
-		q := t.ConcatRows(t.MatMul(eSn, t.Var(m.attnX.WQ)), dyn.qD)
-		k := t.ConcatRows(t.MatMul(eSn, t.Var(m.attnX.WK)), dyn.kD)
-		v := t.ConcatRows(t.MatMul(eSn, t.Var(m.attnX.WV)), dyn.vD)
+		q := t.ConcatRows(t.MatMul(eS, t.Var(m.attnX.WQ)), dyn.qD)
+		k := t.ConcatRows(t.MatMul(eS, t.Var(m.attnX.WK)), dyn.kD)
+		v := t.ConcatRows(t.MatMul(eS, t.Var(m.attnX.WV)), dyn.vD)
 		scores := t.Scale(1/math.Sqrt(float64(m.cfg.Dim)), t.MatMulT(q, k))
 		h := t.MatMul(t.SoftmaxRows(scores, cross), v)
 		views = append(views, m.ffn.Forward(t, t.MeanRows(h)))
@@ -160,7 +143,7 @@ func (m *Model) forwardCandidate(t *ag.Tape, dyn *Dyn, inst feature.Instance, hS
 		hagg = t.ConcatCols(views...)
 	}
 	f := t.Dot(t.Var(m.proj), hagg)
-	return t.Add(linear, f), hS
+	return t.Add(linear, f)
 }
 
 // Score records the raw SeqFM output ŷ of Eq. (19) for one instance on the

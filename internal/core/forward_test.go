@@ -68,6 +68,34 @@ func candidateSet(n int) []feature.Instance {
 	return insts
 }
 
+// scoreRef scores inst through Score on one fresh inference tape.
+func scoreRef(m *Model, inst feature.Instance) float64 {
+	t := ag.NewTape()
+	return m.Score(t, inst).Value.ScalarValue()
+}
+
+// parityConfigs enumerates the model variants whose two-phase forward must
+// match the monolithic reference bit for bit: the full model, every
+// single-component ablation, and the padding-mask extension.
+func parityConfigs() map[string]Config {
+	cfgs := map[string]Config{"default": testConfig()}
+	for name, ab := range map[string]Ablation{
+		"noStatic":   {NoStaticView: true},
+		"noDynamic":  {NoDynamicView: true},
+		"noCross":    {NoCrossView: true},
+		"noResidual": {NoResidual: true},
+		"noLN":       {NoLayerNorm: true},
+	} {
+		c := testConfig()
+		c.Ablation = ab
+		cfgs[name] = c
+	}
+	mp := testConfig()
+	mp.MaskPadding = true
+	cfgs["maskPadding"] = mp
+	return cfgs
+}
+
 // TestForwardCandidateMatchesScoreBitForBit pins the tentpole's forward
 // parity: every candidate scored against one shared on-tape Dyn equals the
 // monolithic per-candidate Score exactly, for the full model, every ablation

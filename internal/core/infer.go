@@ -1,110 +1,24 @@
 package core
 
-import (
-	"seqfm/internal/ag"
-	"seqfm/internal/feature"
-	"seqfm/internal/tensor"
-)
-
-// This file is the serving-path view of the two-phase forward (forward.go):
-// it snapshots the candidate-independent subgraph off-tape so a top-K scorer
-// can pay for the dynamic view once per user history instead of once per
-// candidate, across requests and tape resets. There is no scoring logic here
-// — PrecomputeDynamic runs ForwardDynamic and clones its values, ScoreFast
-// replays them as constants through the same forwardCandidate the trainers
-// use — so serving is bit-for-bit identical to Score by construction, the
-// property internal/serve's parity tests pin down.
+import "seqfm/internal/tensor"
 
 // DynState caches the candidate-independent part of a SeqFM forward pass for
-// one user history: the value snapshot of a Dyn (see forward.go).
+// one user history: the value snapshot of a Dyn (see forward.go), so a top-K
+// scorer pays for the dynamic view once per user history instead of once per
+// candidate. internal/plan's Exec.PrecomputeDynamic fills it and
+// Exec.ScoreFast consumes it; Score is the reference both agree with bit for
+// bit.
 //
-// A DynState holds plain value matrices (no tape nodes), so it stays valid
-// after the tape that produced it is Reset — but it snapshots the weights:
-// any parameter update invalidates it.
+// A DynState holds plain value matrices (no tape nodes), so it outlives the
+// pass that produced it — but it snapshots the weights: any parameter update
+// invalidates it.
 type DynState struct {
-	dynIdx   []int
-	padCount int
-	linD     float64        // Σ_j w·_j over the padded history (dynamic half of Eq. 4)
-	hD       *tensor.Matrix // 1×d dynamic-view output vector; nil under "Remove DV"
-	// qD/kD/vD are the dynamic row-blocks of the cross view's Q/K/V
+	DynIdx   []int          // padded history (Space.PadHist)
+	PadCount int            // leading padding positions (0 for histories of length ≥ n.)
+	LinD     float64        // Σ_j w·_j over the padded history (dynamic half of Eq. 4)
+	HD       *tensor.Matrix // 1×d dynamic-view output vector; nil under "Remove DV"
+	// QD/KD/VD are the dynamic row-blocks of the cross view's Q/K/V
 	// projections; nil under "Remove CV". The raw embedding rows G· are not
-	// snapshotted: forwardCandidate consumes only these derived blocks.
-	qD, kD, vD *tensor.Matrix
-}
-
-// PadCount returns how many leading padding positions the cached history
-// carries (0 for histories of length ≥ n.).
-func (s *DynState) PadCount() int { return s.padCount }
-
-// PrecomputeDynamic runs the candidate-independent part of the forward pass
-// for hist on t (which must be an inference tape — dropout would make the
-// cached vectors irreproducible) and returns it as a reusable DynState.
-// The caller may Reset t afterwards; the returned state owns its matrices.
-func (m *Model) PrecomputeDynamic(t *ag.Tape, hist []int) *DynState {
-	if t.Training() {
-		panic("core: PrecomputeDynamic on a training tape")
-	}
-	dyn := m.ForwardDynamic(t, hist)
-	s := &DynState{dynIdx: dyn.DynIdx, padCount: dyn.PadCount}
-	// Cached matrices are cloned off the tape so the state honours
-	// Tape.Reset's contract (values from earlier passes must be copied
-	// before the tape is reused) — cloning happens once per history, not
-	// per candidate, so the cost is amortised away.
-	s.linD = dyn.linD.Value.ScalarValue()
-	if dyn.hD != nil {
-		s.hD = dyn.hD.Value.Clone()
-	}
-	if dyn.qD != nil {
-		s.qD = dyn.qD.Value.Clone()
-		s.kD = dyn.kD.Value.Clone()
-		s.vD = dyn.vD.Value.Clone()
-	}
-	return s
-}
-
-// onTape replays the snapshot as constant nodes, rebuilding a Dyn that
-// forwardCandidate can consume (eD stays nil: it is only needed while
-// ForwardDynamic derives the blocks). Constants record no gradients, so the
-// replay is inference-only by construction.
-func (s *DynState) onTape(t *ag.Tape) *Dyn {
-	dyn := &Dyn{
-		DynIdx:   s.dynIdx,
-		PadCount: s.padCount,
-		linD:     t.ConstantScalar(s.linD),
-	}
-	if s.hD != nil {
-		dyn.hD = t.Constant(s.hD)
-	}
-	if s.qD != nil {
-		dyn.qD = t.Constant(s.qD)
-		dyn.kD = t.Constant(s.kD)
-		dyn.vD = t.Constant(s.vD)
-	}
-	return dyn
-}
-
-// ScoreFast scores inst against the cached dynamic state dyn, recording the
-// candidate-dependent ops on t. inst must carry the same history dyn was
-// built from (only the static fields of inst are read). hS, when non-nil,
-// must be a static-view vector previously returned by ScoreFast for the
-// same static fields (user, target, attrs); pass nil to compute it fresh.
-//
-// It returns the raw score of Eq. (19) — bit-for-bit identical to Score on
-// the full instance — and the static-view vector for the caller to cache
-// (nil under "Remove SV").
-func (m *Model) ScoreFast(t *ag.Tape, dyn *DynState, inst feature.Instance, hS *tensor.Matrix) (float64, *tensor.Matrix) {
-	if t.Training() {
-		panic("core: ScoreFast on a training tape")
-	}
-	var hSNode *ag.Node
-	if hS != nil {
-		hSNode = t.Constant(hS)
-	}
-	score, hSOut := m.forwardCandidate(t, dyn.onTape(t), inst, hSNode)
-	if hS == nil && hSOut != nil {
-		// Cloned off the tape so the returned vector stays valid for the
-		// caller's cache after t is Reset.
-		hS = hSOut.Value.Clone()
-	}
-	return score.Value.ScalarValue(), hS
+	// snapshotted: the candidate phase consumes only these derived blocks.
+	QD, KD, VD *tensor.Matrix
 }

@@ -1,69 +1,49 @@
-package core
+package core_test
 
 import (
 	"testing"
 
-	"seqfm/internal/ag"
+	"seqfm/internal/core"
 	"seqfm/internal/feature"
+	"seqfm/internal/plan"
 )
 
-// scoreRef is the monolithic reference: one fresh inference tape per call.
-func scoreRef(m *Model, inst feature.Instance) float64 {
-	t := ag.NewTape()
-	return m.Score(t, inst).Value.ScalarValue()
-}
-
-// parityConfigs enumerates the model variants whose cached path must match
-// the monolithic Score bit for bit: the full model, every single-component
-// ablation, and the padding-mask extension.
-func parityConfigs() map[string]Config {
-	cfgs := map[string]Config{"default": testConfig()}
-	for name, ab := range map[string]Ablation{
-		"noStatic":   {NoStaticView: true},
-		"noDynamic":  {NoDynamicView: true},
-		"noCross":    {NoCrossView: true},
-		"noResidual": {NoResidual: true},
-		"noLN":       {NoLayerNorm: true},
-	} {
-		c := testConfig()
-		c.Ablation = ab
-		cfgs[name] = c
+// newExec compiles a live plan for m and returns one of its Execs: the
+// producer and consumer of DynState snapshots.
+func newExec(t *testing.T, m *core.Model) *plan.Exec {
+	t.Helper()
+	p, err := plan.For(m)
+	if err != nil {
+		t.Fatalf("plan.For: %v", err)
 	}
-	mp := testConfig()
-	mp.MaskPadding = true
-	cfgs["maskPadding"] = mp
-	return cfgs
+	return p.NewExec()
 }
 
 func TestScoreFastMatchesScoreBitForBit(t *testing.T) {
 	insts := []feature.Instance{
-		testInstance(),
+		core.BaseInstance(),
 		{User: 0, Target: 0, Hist: nil, UserAttr: feature.Pad, TargetAttr: feature.Pad},                        // empty history
 		{User: 5, Target: 8, Hist: []int{0, 1, 2, 3, 4, 5, 6}, UserAttr: feature.Pad, TargetAttr: feature.Pad}, // truncated
 		{User: 3, Target: 2, Hist: []int{8}, UserAttr: feature.Pad, TargetAttr: feature.Pad},                   // padded
 	}
-	for name, cfg := range parityConfigs() {
-		m, err := New(cfg)
+	for name, cfg := range core.ParityConfigs() {
+		m, err := core.New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tape := ag.NewTape()
+		e := newExec(t, m)
 		for _, inst := range insts {
-			want := scoreRef(m, inst)
-			tape.Reset()
-			dyn := m.PrecomputeDynamic(tape, inst.Hist)
+			want := core.ScoreRef(m, inst)
+			dyn := e.PrecomputeDynamic(inst.Hist)
 
-			// Cold static view on a reused tape.
-			tape.Reset()
-			got, hS := m.ScoreFast(tape, dyn, inst, nil)
+			// Cold static view.
+			got, hS := e.ScoreFast(dyn, inst, nil)
 			if got != want {
 				t.Errorf("%s: cold ScoreFast=%v, Score=%v (not bit-identical)", name, got, want)
 			}
 
 			// Warm static view: feed the returned vector back in.
-			tape.Reset()
-			warm, _ := m.ScoreFast(tape, dyn, inst, hS)
-			if warm != want {
+			if warm, _ := e.ScoreFast(dyn, inst, hS); warm != want {
 				t.Errorf("%s: warm ScoreFast=%v, Score=%v", name, warm, want)
 			}
 		}
@@ -73,50 +53,46 @@ func TestScoreFastMatchesScoreBitForBit(t *testing.T) {
 func TestScoreFastSharedDynAcrossCandidates(t *testing.T) {
 	// One history, many candidates — the top-K serving pattern. The dynamic
 	// state is computed once and must reproduce Score for every candidate.
-	m, err := New(testConfig())
+	cfg := core.BaseConfig()
+	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := testInstance()
-	tape := ag.NewTape()
-	dyn := m.PrecomputeDynamic(tape, base.Hist)
-	for target := 0; target < testSpace().NumObjects; target++ {
+	e := newExec(t, m)
+	base := core.BaseInstance()
+	dyn := e.PrecomputeDynamic(base.Hist)
+	for target := 0; target < cfg.Space.NumObjects; target++ {
 		inst := base
 		inst.Target = target
-		want := scoreRef(m, inst)
-		tape.Reset()
-		got, _ := m.ScoreFast(tape, dyn, inst, nil)
-		if got != want {
+		want := core.ScoreRef(m, inst)
+		if got, _ := e.ScoreFast(dyn, inst, nil); got != want {
 			t.Fatalf("candidate %d: ScoreFast=%v, Score=%v", target, got, want)
 		}
 	}
 }
 
 func TestScoreFastWithAttributes(t *testing.T) {
-	cfg := testConfig()
+	cfg := core.BaseConfig()
 	cfg.Space.NumUserAttrs = 3
 	cfg.Space.NumItemAttrs = 4
-	m, err := New(cfg)
+	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst := feature.Instance{User: 1, Target: 4, Hist: []int{2, 6}, UserAttr: 2, TargetAttr: 1}
-	want := scoreRef(m, inst)
-	tape := ag.NewTape()
-	dyn := m.PrecomputeDynamic(tape, inst.Hist)
-	tape.Reset()
-	got, _ := m.ScoreFast(tape, dyn, inst, nil)
-	if got != want {
+	want := core.ScoreRef(m, inst)
+	e := newExec(t, m)
+	if got, _ := e.ScoreFast(e.PrecomputeDynamic(inst.Hist), inst, nil); got != want {
 		t.Fatalf("ScoreFast=%v, Score=%v", got, want)
 	}
 }
 
 func TestPrecomputeDynamicPadCount(t *testing.T) {
-	m, err := New(testConfig()) // MaxSeqLen 4
+	m, err := core.New(core.BaseConfig()) // MaxSeqLen 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	tape := ag.NewTape()
+	e := newExec(t, m)
 	for _, tc := range []struct {
 		hist []int
 		want int
@@ -126,33 +102,8 @@ func TestPrecomputeDynamicPadCount(t *testing.T) {
 		{[]int{1, 2, 3, 4}, 0},
 		{[]int{1, 2, 3, 4, 5, 6}, 0},
 	} {
-		tape.Reset()
-		if got := m.PrecomputeDynamic(tape, tc.hist).PadCount(); got != tc.want {
+		if got := e.PrecomputeDynamic(tc.hist).PadCount; got != tc.want {
 			t.Errorf("hist %v: PadCount=%d, want %d", tc.hist, got, tc.want)
 		}
 	}
-}
-
-func TestInferenceHooksRejectTrainingTape(t *testing.T) {
-	m, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := ag.NewTrainingTape(newRand(9))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("PrecomputeDynamic accepted a training tape")
-			}
-		}()
-		m.PrecomputeDynamic(tt, []int{1})
-	}()
-	it := ag.NewTape()
-	dyn := m.PrecomputeDynamic(it, []int{1})
-	defer func() {
-		if recover() == nil {
-			t.Error("ScoreFast accepted a training tape")
-		}
-	}()
-	m.ScoreFast(tt, dyn, testInstance(), nil)
 }

@@ -84,44 +84,3 @@ func (m *Model) Spec() ModelSpec {
 	}
 	return s
 }
-
-// DynParts is the exported value view of a DynState, used by the compiled
-// engine to build and consume dynamic-state snapshots interchangeable with
-// PrecomputeDynamic's. The matrices are referenced, not copied.
-type DynParts struct {
-	DynIdx   []int
-	PadCount int
-	LinD     float64
-	HD       *tensor.Matrix // nil under "Remove DV"
-	QD       *tensor.Matrix // nil under "Remove CV"
-	KD       *tensor.Matrix
-	VD       *tensor.Matrix
-}
-
-// Parts exposes the snapshot's values.
-func (s *DynState) Parts() DynParts {
-	return DynParts{
-		DynIdx:   s.dynIdx,
-		PadCount: s.padCount,
-		LinD:     s.linD,
-		HD:       s.hD,
-		QD:       s.qD,
-		KD:       s.kD,
-		VD:       s.vD,
-	}
-}
-
-// DynStateFromParts wraps p as a DynState. The matrices are adopted, not
-// cloned: the caller must hand over ownership (the compiled engine clones
-// them out of its scratch buffers first, mirroring PrecomputeDynamic).
-func DynStateFromParts(p DynParts) *DynState {
-	return &DynState{
-		dynIdx:   p.DynIdx,
-		padCount: p.PadCount,
-		linD:     p.LinD,
-		hD:       p.HD,
-		qD:       p.QD,
-		kD:       p.KD,
-		vD:       p.VD,
-	}
-}

@@ -16,6 +16,7 @@ import (
 	"seqfm/internal/obs"
 	"seqfm/internal/online"
 	"seqfm/internal/serve"
+	"seqfm/internal/tensor"
 	"seqfm/internal/wal"
 )
 
@@ -159,7 +160,7 @@ func TestFreshnessEndToEndAcrossReplication(t *testing.T) {
 type shiftScorer struct{ shift float64 }
 
 func (s shiftScorer) Score(tp *ag.Tape, inst feature.Instance) *ag.Node {
-	return tp.ConstantScalar(float64(inst.Target%7)*0.1 + s.shift)
+	return tp.Constant(tensor.Scalar(float64(inst.Target%7)*0.1 + s.shift))
 }
 
 // TestDriftAlertFlipsHealthz pins the alerting tentpole end to end: with no

@@ -471,9 +471,9 @@ func (e *Exec) resetCross(st *core.DynState) {
 }
 
 // scoreCandidate attaches one candidate to the prepared dynamic state — the
-// compiled core.forwardCandidate. hS, when non-nil, is injected in place of
-// computing the static view (serving cache hit). It returns the raw score and
-// the freshly computed static-view vector (nil when injected or ablated).
+// compiled core.Model.ForwardCandidate. hS, when non-nil, is injected in place
+// of computing the static view (serving cache hit). It returns the raw score
+// and the freshly computed static-view vector (nil when injected or ablated).
 func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool, hS *tensor.Matrix) (float64, *tensor.Matrix) {
 	p := e.plan
 	sl.staticIdx = p.spec.Cfg.Space.StaticIndicesInto(sl.staticIdx, inst)
@@ -528,9 +528,9 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 
 // crossDense is the training cross view: the (s+n)-row Q/K/V are assembled in
 // the slot — static row-blocks per candidate, dynamic row-blocks from the
-// shared phase, the row-split core.forwardCandidate records via ConcatRows —
-// and attended under the additive cross mask, leaving the probabilities and
-// the attention output where Backward reads them.
+// shared phase, the row-split core.Model.ForwardCandidate records via
+// ConcatRows — and attended under the additive cross mask, leaving the
+// probabilities and the attention output where Backward reads them.
 func (e *Exec) crossDense(sl *candSlot) {
 	p := e.plan
 	e.projectQKV(nil, sl.staticIdx, sl.eS, p.spec.AttnX, sl.qxTop, sl.kxTop, sl.vxTop)
@@ -647,37 +647,40 @@ func (e *Exec) Forward(insts []feature.Instance, training bool) []float64 {
 }
 
 // PrecomputeDynamic runs the compiled dynamic phase and snapshots it as a
-// core.DynState — interchangeable with the tape-built one: either engine can
-// consume either snapshot, bit for bit.
+// core.DynState. A snapshot from a live or a frozen plan of the same weights
+// is scored identically, bit for bit, by either.
 func (e *Exec) PrecomputeDynamic(hist []int) *core.DynState {
 	e.fwdTraining = false
 	e.beginDynamic(hist, false)
-	parts := core.DynParts{
+	st := &core.DynState{
 		DynIdx:   append([]int(nil), e.dynIdx...),
 		PadCount: e.padCount,
 		LinD:     e.linD,
 	}
 	if e.hD != nil {
-		parts.HD = e.hD.Clone()
+		st.HD = e.hD.Clone()
 	}
 	if e.qD != nil {
-		parts.QD = e.qD.Clone()
-		parts.KD = e.kD.Clone()
-		parts.VD = e.vD.Clone()
+		st.QD = e.qD.Clone()
+		st.KD = e.kD.Clone()
+		st.VD = e.vD.Clone()
 	}
-	return core.DynStateFromParts(parts)
+	return st
 }
 
-// ScoreFast scores inst against a cached dynamic state, the compiled
-// core.Model.ScoreFast: same contract, same bit-exact scores, same static-view
-// vector caching (hS in, possibly-fresh clone out).
+// ScoreFast scores inst against a cached dynamic state st, which must come
+// from the same history inst carries (only the static fields of inst are
+// read). hS, when non-nil, must be a static-view vector ScoreFast returned for
+// the same static fields (user, target, attrs); pass nil to compute it fresh.
+// It returns the raw score of Eq. (19) — bit-for-bit identical to
+// core.Model.Score on the full instance — and the static-view vector for the
+// caller to cache (a fresh clone when computed; nil under "Remove SV").
 func (e *Exec) ScoreFast(st *core.DynState, inst feature.Instance, hS *tensor.Matrix) (float64, *tensor.Matrix) {
 	e.fwdTraining = false
-	parts := st.Parts()
-	e.padCount = parts.PadCount
-	e.linD = parts.LinD
-	e.hD = parts.HD
-	e.qD, e.kD, e.vD = parts.QD, parts.KD, parts.VD
+	e.padCount = st.PadCount
+	e.linD = st.LinD
+	e.hD = st.HD
+	e.qD, e.kD, e.vD = st.QD, st.KD, st.VD
 	if st != e.xdyn {
 		e.resetCross(st)
 	}

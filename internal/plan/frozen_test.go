@@ -60,23 +60,31 @@ func matrixInstance(sp feature.Space, hist []int) feature.Instance {
 // ScoreFast with the static view computed and injected — to the tape, bit for
 // bit, over inferenceMatrix and histories shorter than, equal to and longer
 // than n. (including none at all), and pins DynState interchange in both
-// directions: a plan-built snapshot scored by the tape engine, a tape-built
-// one scored by the plan. Each case runs twice on one Exec, so a frozen plan
-// is checked both while it fills its tables and when it reads them back.
+// directions: each plan kind scores the other's snapshot, and the other kind
+// scores its snapshot with its static-view vector injected. Each case runs
+// twice on one Exec, so a frozen plan is checked both while it fills its
+// tables and when it reads them back; the frozen kind runs first so that its
+// own first pass is the one that fills them.
 func TestInferenceMatchesTapeBitForBit(t *testing.T) {
-	kinds := map[string]func(any) (*plan.Plan, error){"live": plan.For, "frozen": plan.Frozen}
+	kinds := [2]struct {
+		name    string
+		compile func(any) (*plan.Plan, error)
+	}{{"frozen", plan.Frozen}, {"live", plan.For}}
 	for name, cfg := range inferenceMatrix() {
 		m, err := core.New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for kind, compile := range kinds {
-			p, err := compile(m)
+		var execs [2]*plan.Exec
+		for k, kind := range kinds {
+			p, err := kind.compile(m)
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, kind, err)
+				t.Fatalf("%s %s: %v", name, kind.name, err)
 			}
-			e := p.NewExec()
-			tape := ag.NewTape()
+			execs[k] = p.NewExec()
+		}
+		for k, kind := range kinds {
+			e, other, otherKind := execs[k], execs[1-k], kinds[1-k].name
 			for _, hist := range histVariants() {
 				base := matrixInstance(cfg.Space, hist)
 				insts := []feature.Instance{base}
@@ -90,7 +98,7 @@ func TestInferenceMatchesTapeBitForBit(t *testing.T) {
 					want[i] = scoreRef(m, inst)
 				}
 				for pass := 0; pass < 2; pass++ {
-					at := fmt.Sprintf("%s %s hist %v pass %d", name, kind, hist, pass)
+					at := fmt.Sprintf("%s %s hist %v pass %d", name, kind.name, hist, pass)
 					if got := e.Score(base); got != want[0] {
 						t.Errorf("%s: Score=%v, tape=%v", at, got, want[0])
 					}
@@ -100,8 +108,7 @@ func TestInferenceMatchesTapeBitForBit(t *testing.T) {
 						}
 					}
 					pdyn := e.PrecomputeDynamic(hist)
-					tape.Reset()
-					tdyn := m.PrecomputeDynamic(tape, hist)
+					odyn := other.PrecomputeDynamic(hist)
 					for i, inst := range insts {
 						got, hS := e.ScoreFast(pdyn, inst, nil)
 						if got != want[i] {
@@ -110,12 +117,11 @@ func TestInferenceMatchesTapeBitForBit(t *testing.T) {
 						if got, _ := e.ScoreFast(pdyn, inst, hS); got != want[i] {
 							t.Errorf("%s: ScoreFast[%d] injected hS=%v, tape=%v", at, i, got, want[i])
 						}
-						if got, _ := e.ScoreFast(tdyn, inst, nil); got != want[i] {
-							t.Errorf("%s: plan over tape DynState [%d]=%v, tape=%v", at, i, got, want[i])
+						if got, _ := e.ScoreFast(odyn, inst, nil); got != want[i] {
+							t.Errorf("%s: over %s DynState [%d]=%v, tape=%v", at, otherKind, i, got, want[i])
 						}
-						tape.Reset()
-						if got, _ := m.ScoreFast(tape, pdyn, inst, hS); got != want[i] {
-							t.Errorf("%s: tape over plan DynState [%d]=%v, tape=%v", at, i, got, want[i])
+						if got, _ := other.ScoreFast(pdyn, inst, hS); got != want[i] {
+							t.Errorf("%s: %s over this DynState, injected hS [%d]=%v, tape=%v", at, otherKind, i, got, want[i])
 						}
 					}
 				}

@@ -13,21 +13,21 @@
 //
 // Contracts, pinned by internal/plan's parity tests:
 //
-//   - Forward values are bit-identical to the tape path, so Score,
-//     PrecomputeDynamic and ScoreFast agree with core's tape implementations
-//     bit for bit — a compiled serving generation can consume a tape-built
-//     DynState and vice versa. The compiled forward may do whatever leaves
-//     every IEEE operation that reaches the score, and its order, unchanged:
-//     drop dispatch, closures and allocation; skip work whose result is
-//     provably unobservable (entries an additive −Inf mask turns into +0;
-//     a·v terms the kernels' zero-coefficient guard already skips); compute a
-//     value once when its inputs cannot change (a frozen plan's projected
-//     rows); compute independent output elements side by side, or add the
-//     same terms to an element in the same order in fewer passes (tensor's
-//     kernels, shared with the tape). It may not reassociate a sum — change
-//     which partial sums an element's additions combine: no second
-//     accumulator for one dot, no blocked or reordered k loop, no reordered
-//     pooling — nor narrow the float type.
+//   - Forward values are bit-identical to the tape path: Score, Forward and
+//     ScoreFast over a PrecomputeDynamic snapshot agree with core.Model.Score
+//     bit for bit, and a core.DynState from a live or a frozen plan of the
+//     same weights is scored identically by either. The compiled forward
+//     may do whatever leaves every IEEE operation that reaches the score, and
+//     its order, unchanged: drop dispatch, closures and allocation; skip work
+//     whose result is provably unobservable (entries an additive −Inf mask
+//     turns into +0; a·v terms the kernels' zero-coefficient guard already
+//     skips); compute a value once when its inputs cannot change (a frozen
+//     plan's projected rows); compute independent output elements side by
+//     side, or add the same terms to an element in the same order in fewer
+//     passes (tensor's kernels, shared with the tape). It may not reassociate
+//     a sum — change which partial sums an element's additions combine: no
+//     second accumulator for one dot, no blocked or reordered k loop, no
+//     reordered pooling — nor narrow the float type.
 //   - A plan is live or frozen. For returns a live plan: it aliases the
 //     model's parameter matrices and recomputes every projection on every
 //     pass, so it always scores the weights the model holds now — training,

@@ -152,45 +152,50 @@ func TestCompiledForwardSharedCandidates(t *testing.T) {
 	}
 }
 
-// TestCompiledDynStateInterop pins snapshot compatibility in both directions:
-// a compiled-built DynState served by the tape path, a tape-built DynState
-// served by the compiled path, and cached static-view vectors crossing the
-// engine boundary — all bit-identical to the monolithic score.
+// TestCompiledDynStateInterop pins snapshot interchange between the plan
+// kinds: a DynState from a live or a frozen plan of the same weights, scored
+// by either with the static view computed or injected from either, equals
+// Score bit for bit. It also pins the snapshot's shape: n. history slots, the
+// leading max(0, n.−len(hist)) of them padding.
 func TestCompiledDynStateInterop(t *testing.T) {
 	for name, cfg := range parityConfigs() {
 		m, err := core.New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e := compileFor(t, m).NewExec()
+		fp, err := plan.Frozen(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		execs := map[string]*plan.Exec{"live": compileFor(t, m).NewExec(), "frozen": fp.NewExec()}
 		for _, hist := range histVariants() {
 			inst := testInstance()
 			inst.Hist = hist
 			want := scoreRef(m, inst)
 
-			// Compiled snapshot → tape scorer.
-			cdyn := e.PrecomputeDynamic(hist)
-			tape := ag.NewTape()
-			got, hS := m.ScoreFast(tape, cdyn, inst, nil)
-			if got != want {
-				t.Errorf("%s hist %v: tape-over-compiled-dyn=%v, want %v", name, hist, got, want)
+			dyns := map[string]*core.DynState{}
+			views := map[string]*tensor.Matrix{}
+			for kind, e := range execs {
+				st := e.PrecomputeDynamic(hist)
+				if pads := max(0, cfg.MaxSeqLen-len(hist)); st.PadCount != pads || len(st.DynIdx) != cfg.MaxSeqLen {
+					t.Errorf("%s %s hist %v: PadCount=%d len(DynIdx)=%d, want %d and %d",
+						name, kind, hist, st.PadCount, len(st.DynIdx), pads, cfg.MaxSeqLen)
+				}
+				dyns[kind] = st
+				_, views[kind] = e.ScoreFast(st, inst, nil)
 			}
-
-			// Tape snapshot → compiled scorer, warm-started with the tape's hS.
-			tape.Reset()
-			tdyn := m.PrecomputeDynamic(tape, hist)
-			if got, _ := e.ScoreFast(tdyn, inst, nil); got != want {
-				t.Errorf("%s hist %v: compiled-over-tape-dyn=%v, want %v", name, hist, got, want)
-			}
-			if got, _ := e.ScoreFast(tdyn, inst, hS); got != want {
-				t.Errorf("%s hist %v: compiled warm hS=%v, want %v", name, hist, got, want)
-			}
-
-			// Compiled hS consumed by the tape scorer.
-			_, chS := e.ScoreFast(cdyn, inst, nil)
-			tape.Reset()
-			if got, _ := m.ScoreFast(tape, cdyn, inst, chS); got != want {
-				t.Errorf("%s hist %v: tape warm compiled-hS=%v, want %v", name, hist, got, want)
+			for scorer, e := range execs {
+				for built, st := range dyns {
+					if got, _ := e.ScoreFast(st, inst, nil); got != want {
+						t.Errorf("%s hist %v: %s over %s DynState=%v, want %v", name, hist, scorer, built, got, want)
+					}
+					for from, hS := range views {
+						if got, _ := e.ScoreFast(st, inst, hS); got != want {
+							t.Errorf("%s hist %v: %s over %s DynState, %s hS=%v, want %v",
+								name, hist, scorer, built, from, got, want)
+						}
+					}
+				}
 			}
 		}
 	}
