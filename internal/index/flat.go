@@ -21,7 +21,8 @@ func (f *Flat) Dim() int { return f.store.Dim() }
 func (f *Flat) Backend() Backend { return BackendFlat }
 
 // Search scans the whole store, keeping the best n non-excluded items in a
-// bounded heap.
+// bounded heap. Rows are scored a block at a time through Store.dots and
+// offered in row order.
 func (f *Flat) Search(query []float64, n int, exclude func(id int) bool) []Result {
 	if n <= 0 || f.store.Len() == 0 {
 		return nil
@@ -34,13 +35,26 @@ func (f *Flat) Search(query []float64, n int, exclude func(id int) bool) []Resul
 	}
 	q := normalizeQuery(query, f.store.dim)
 	top := newTopN(n)
+	var rows [64]int32
+	var sims [64]float64
+	k := 0
+	flush := func() {
+		f.store.dots(sims[:k], q, rows[:k])
+		for j, r := range rows[:k] {
+			top.offer(Result{ID: f.store.ID(int(r)), Score: sims[j]})
+		}
+		k = 0
+	}
 	for i := 0; i < f.store.Len(); i++ {
-		id := f.store.ID(i)
-		if exclude != nil && exclude(id) {
+		if exclude != nil && exclude(f.store.ID(i)) {
 			continue
 		}
-		top.offer(Result{ID: id, Score: dot(q, f.store.vec(i))})
+		rows[k] = int32(i)
+		if k++; k == len(rows) {
+			flush()
+		}
 	}
+	flush()
 	return top.sorted()
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -27,8 +26,13 @@ import (
 // locks (the hnswlib discipline: every read or write of a node's neighbor
 // list during the build holds that node's lock, entry-point updates hold a
 // global one). Either way the graph is immutable after NewHNSW returns and
-// safe for unbounded concurrent Search calls; per-query visited sets are
-// pooled and epoch-stamped so searches allocate O(ef), not O(n).
+// safe for unbounded concurrent Search calls; per-query scratch (an
+// epoch-stamped visited set, the search heaps, the distance buffers) is
+// pooled, so a warm search allocates only its query copy and its results.
+//
+// Every similarity is dot's, batched through Store.dots, and every ordering
+// is better's, a strict total order over distinct nodes: a sequential build is
+// a pure function of (store, Config) on every host, and so is Search.
 type HNSW struct {
 	store *Store
 	cfg   Config
@@ -46,7 +50,7 @@ type HNSW struct {
 	epMu      sync.Mutex
 	nodeLocks []sync.Mutex
 
-	visited sync.Pool // *visitSet, reused across queries
+	scratches sync.Pool // *scratch, reused across queries
 }
 
 // cand pairs a node with its similarity to the current query; the search
@@ -77,14 +81,16 @@ func NewHNSW(s *Store, cfg Config) *HNSW {
 		entry: -1,
 		links: make([][][]int32, s.Len()),
 	}
-	h.visited.New = func() any { return &visitSet{stamp: make([]uint32, s.Len())} }
+	h.scratches.New = func() any { return newScratch(s.Len(), cfg.M) }
 
 	// Levels are pre-drawn from the seed so the layer structure is a pure
-	// function of (Seed, n) no matter how many workers build the links.
+	// function of (Seed, n) no matter how many workers build the links. The
+	// conversion keeps a fusing compiler (arm64) from folding Float64's
+	// scaling into the subtraction.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	levels := make([]int, s.Len())
 	for i := range levels {
-		levels[i] = int(math.Floor(-math.Log(1-rng.Float64()) * h.mL))
+		levels[i] = int(math.Floor(-math.Log(1-float64(rng.Float64())) * h.mL))
 	}
 
 	workers := cfg.BuildWorkers
@@ -92,9 +98,9 @@ func NewHNSW(s *Store, cfg Config) *HNSW {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 || s.Len() < 2 {
-		vis := &visitSet{stamp: make([]uint32, s.Len())}
+		sc := newScratch(s.Len(), cfg.M)
 		for i := 0; i < s.Len(); i++ {
-			h.insert(int32(i), levels[i], vis, false)
+			h.insert(int32(i), levels[i], sc, false)
 		}
 		return h
 	}
@@ -110,13 +116,13 @@ func NewHNSW(s *Store, cfg Config) *HNSW {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vis := &visitSet{stamp: make([]uint32, h.store.Len())}
+			sc := newScratch(h.store.Len(), h.cfg.M)
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(h.store.Len()) {
 					return
 				}
-				h.insert(int32(i), levels[i], vis, true)
+				h.insert(int32(i), levels[i], sc, true)
 			}
 		}()
 	}
@@ -154,9 +160,9 @@ func (h *HNSW) neighbors(node int32, lc int, locked bool, buf []int32) []int32 {
 }
 
 // insert wires node i into the graph at the pre-drawn level (Algorithm 1).
-// vis is the worker's reusable visited set; locked selects the
-// parallel-build locking discipline.
-func (h *HNSW) insert(i int32, level int, vis *visitSet, locked bool) {
+// sc is the worker's scratch; locked selects the parallel-build locking
+// discipline.
+func (h *HNSW) insert(i int32, level int, sc *scratch, locked bool) {
 	own := make([][]int32, level+1)
 	if locked {
 		h.nodeLocks[i].Lock()
@@ -176,31 +182,28 @@ func (h *HNSW) insert(i int32, level int, vis *visitSet, locked bool) {
 	h.epMu.Unlock()
 
 	q := h.store.vec(int(i))
-	var buf []int32
-	if locked {
-		buf = make([]int32, 2*h.cfg.M+1)
-	}
 	ep := cand{node: entry, sim: dot(q, h.store.vec(int(entry)))}
 	for lc := maxLevel; lc > level; lc-- {
-		ep = h.greedyClosest(q, ep, lc, locked, buf)
+		ep = h.greedyClosest(q, ep, lc, locked, sc)
 	}
 	top := level
 	if maxLevel < top {
 		top = maxLevel
 	}
 	for lc := top; lc >= 0; lc-- {
-		found := h.searchLayer(q, ep, h.cfg.EfConstruction, lc, vis, locked, buf, nil, nil)
-		neighbors := h.selectNeighbors(q, found, h.cfg.M)
+		maxConn := h.cfg.M
+		if lc == 0 {
+			maxConn = 2 * h.cfg.M
+		}
+		found := h.searchLayer(q, ep, h.cfg.EfConstruction, lc, sc, locked, nil, nil)
+		// Room for the link that triggers a shrink: the list never moves.
+		neighbors := h.selectNeighbors(make([]int32, 0, maxConn+1), found, h.cfg.M, sc)
 		if locked {
 			h.nodeLocks[i].Lock()
 			h.links[i][lc] = neighbors
 			h.nodeLocks[i].Unlock()
 		} else {
 			h.links[i][lc] = neighbors
-		}
-		maxConn := h.cfg.M
-		if lc == 0 {
-			maxConn = 2 * h.cfg.M
 		}
 		for _, nb := range neighbors {
 			if locked {
@@ -209,7 +212,7 @@ func (h *HNSW) insert(i int32, level int, vis *visitSet, locked bool) {
 			if lc < len(h.links[nb]) { // level may trail i's under races; skip then
 				h.links[nb][lc] = append(h.links[nb][lc], i)
 				if len(h.links[nb][lc]) > maxConn {
-					h.shrink(nb, lc, maxConn)
+					h.shrink(nb, lc, maxConn, sc)
 				}
 			}
 			if locked {
@@ -231,41 +234,60 @@ func (h *HNSW) insert(i int32, level int, vis *visitSet, locked bool) {
 
 // shrink re-selects node nb's layer-lc neighbor list down to maxConn with
 // the same diversity heuristic used at insertion, measured from nb's own
-// vector. In a parallel build the caller holds nb's lock.
-func (h *HNSW) shrink(nb int32, lc, maxConn int) {
-	base := h.store.vec(int(nb))
-	cands := make([]cand, 0, len(h.links[nb][lc]))
-	for _, n := range h.links[nb][lc] {
-		cands = append(cands, cand{node: n, sim: dot(base, h.store.vec(int(n)))})
+// vector, rewriting the list in place. In a parallel build the caller holds
+// nb's lock.
+func (h *HNSW) shrink(nb int32, lc, maxConn int, sc *scratch) {
+	links := h.links[nb][lc]
+	sims := sc.sims[:len(links)]
+	h.store.dots(sims, h.store.vec(int(nb)), links)
+	// Insertion sort, best first: 2M+1 elements at most, and better is a
+	// strict total order, so the order is the one any sort gives.
+	cands := sc.cands[:0]
+	for k, n := range links {
+		c := cand{node: n, sim: sims[k]}
+		j := len(cands)
+		cands = append(cands, c)
+		for ; j > 0 && better(c, cands[j-1]); j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = c
 	}
-	sortCands(cands)
-	h.links[nb][lc] = h.selectNeighbors(base, cands, maxConn)
+	sc.cands = cands
+	h.links[nb][lc] = h.selectNeighbors(links[:0], cands, maxConn, sc)
 }
 
 // selectNeighbors is the paper's Algorithm 4 with keepPrunedConnections: a
 // candidate joins the neighbor set only if it is closer to the base vector
 // than to every neighbor already selected; pruned candidates backfill any
-// remaining slots in similarity order. cands must be sorted best-first.
-func (h *HNSW) selectNeighbors(base []float64, cands []cand, m int) []int32 {
+// remaining slots in similarity order. cands must be sorted best-first, each
+// sim its similarity to the base vector. The set is appended to dst[:0],
+// which may be the list cands was read from.
+func (h *HNSW) selectNeighbors(dst []int32, cands []cand, m int, sc *scratch) []int32 {
+	out := dst[:0]
 	if len(cands) <= m {
-		out := make([]int32, len(cands))
-		for i, c := range cands {
-			out[i] = c.node
+		for _, c := range cands {
+			out = append(out, c.node)
 		}
 		return out
 	}
-	out := make([]int32, 0, m)
-	pruned := make([]int32, 0, len(cands))
+	pruned := sc.pruned[:0]
+	var sims [4]float64
 	for _, c := range cands {
 		if len(out) == m {
 			break
 		}
+		// Four selected neighbors a pass, stopping at the first pass that
+		// holds one nearer to c than the base is.
 		cv := h.store.vec(int(c.node))
 		diverse := true
-		for _, sel := range out {
-			if dot(cv, h.store.vec(int(sel))) > c.sim {
-				diverse = false
-				break
+		for j := 0; diverse && j < len(out); j += 4 {
+			sel := out[j:min(j+4, len(out))]
+			h.store.dots(sims[:], cv, sel)
+			for _, sim := range sims[:len(sel)] {
+				if sim > c.sim {
+					diverse = false
+					break
+				}
 			}
 		}
 		if diverse {
@@ -280,18 +302,21 @@ func (h *HNSW) selectNeighbors(base []float64, cands []cand, m int) []int32 {
 		}
 		out = append(out, p)
 	}
+	sc.pruned = pruned
 	return out
 }
 
 // greedyClosest walks layer lc from ep to the local similarity maximum —
 // the ef=1 descent through the upper layers (Algorithm 2 / Algorithm 5's
 // zoom-in phase).
-func (h *HNSW) greedyClosest(q []float64, ep cand, lc int, locked bool, buf []int32) cand {
+func (h *HNSW) greedyClosest(q []float64, ep cand, lc int, locked bool, sc *scratch) cand {
 	for {
+		nbs := h.neighbors(ep.node, lc, locked, sc.buf)
+		sims := sc.sims[:len(nbs)]
+		h.store.dots(sims, q, nbs)
 		improved := false
-		for _, nb := range h.neighbors(ep.node, lc, locked, buf) {
-			c := cand{node: nb, sim: dot(q, h.store.vec(int(nb)))}
-			if better(c, ep) {
+		for k, nb := range nbs {
+			if c := (cand{node: nb, sim: sims[k]}); better(c, ep) {
 				ep, improved = c, true
 			}
 		}
@@ -302,20 +327,15 @@ func (h *HNSW) greedyClosest(q []float64, ep cand, lc int, locked bool, buf []in
 }
 
 // searchLayer is the best-first breadth-ef search of Algorithm 2,
-// returning the up-to-ef nearest visited nodes sorted best-first. When
-// collect is non-nil, every visited node it admits (exclude returns false)
-// is additionally offered to collect — the query path uses this to gather
-// filtered results without letting the filter distort the search frontier
-// that decides termination.
-func (h *HNSW) searchLayer(q []float64, ep cand, ef, lc int, vis *visitSet, locked bool, buf []int32, collect *topN, exclude func(id int) bool) []cand {
-	vis.reset()
-	vis.mark(ep.node)
-	// frontier is a max-heap (best first); nearest a min-heap bounded at ef
-	// whose root is the worst retained node — the search's give-up bound.
-	frontier := candQueue{cmp: better}
-	frontier.push(ep)
-	nearest := candQueue{cmp: func(a, b cand) bool { return better(b, a) }}
-	nearest.push(ep)
+// returning the up-to-ef nearest visited nodes sorted best-first, in sc's
+// memory. When collect is non-nil, every visited node it admits (exclude
+// returns false) is additionally offered to collect, and the beam is not
+// returned — the query path uses this to gather filtered results without
+// letting the filter distort the search frontier that decides termination.
+func (h *HNSW) searchLayer(q []float64, ep cand, ef, lc int, sc *scratch, locked bool, collect *topN, exclude func(id int) bool) []cand {
+	sc.reset()
+	sc.mark(ep.node)
+	front, beam := append(sc.front[:0], ep), append(sc.beam[:0], ep)
 	offer := func(c cand) {
 		if collect == nil {
 			return
@@ -327,30 +347,43 @@ func (h *HNSW) searchLayer(q []float64, ep cand, ef, lc int, vis *visitSet, lock
 		collect.offer(Result{ID: id, Score: c.sim})
 	}
 	offer(ep)
-	for frontier.len() > 0 {
-		c := frontier.pop()
-		if nearest.len() >= ef && better(nearest.peek(), c) {
+	for len(front) > 0 {
+		c := front.pop()
+		if len(beam) >= ef && better(beam[0], c) {
 			break
 		}
-		for _, nb := range h.neighbors(c.node, lc, locked, buf) {
-			if vis.marked(nb) {
-				continue
-			}
-			vis.mark(nb)
-			n := cand{node: nb, sim: dot(q, h.store.vec(int(nb)))}
-			if nearest.len() < ef || better(n, nearest.peek()) {
-				frontier.push(n)
-				nearest.push(n)
-				if nearest.len() > ef {
-					nearest.pop()
-				}
-				offer(n)
+		// Mark the unvisited neighbors, score them in one call, then take
+		// them in list order.
+		fresh := sc.fresh[:0]
+		for _, nb := range h.neighbors(c.node, lc, locked, sc.buf) {
+			if !sc.marked(nb) {
+				sc.mark(nb)
+				fresh = append(fresh, nb)
 			}
 		}
+		sc.fresh = fresh
+		sims := sc.sims[:len(fresh)]
+		h.store.dots(sims, q, fresh)
+		for k, nb := range fresh {
+			n := cand{node: nb, sim: sims[k]}
+			switch {
+			case len(beam) < ef:
+				beam.push(n)
+			case better(n, beam[0]):
+				beam.replaceRoot(n)
+			default:
+				continue
+			}
+			front.push(n)
+			offer(n)
+		}
 	}
-	out := nearest.items
-	sortCands(out)
-	return out
+	sc.front, sc.beam = front, beam
+	if collect != nil {
+		return nil
+	}
+	beam.sortBest()
+	return beam
 }
 
 // Search descends to the base layer and runs a breadth-max(EfSearch, n)
@@ -366,30 +399,54 @@ func (h *HNSW) Search(query []float64, n int, exclude func(id int) bool) []Resul
 		n = h.store.Len()
 	}
 	q := normalizeQuery(query, h.store.dim)
+	sc := h.scratches.Get().(*scratch)
 	ep := cand{node: h.entry, sim: dot(q, h.store.vec(int(h.entry)))}
 	for lc := h.maxLevel; lc > 0; lc-- {
-		ep = h.greedyClosest(q, ep, lc, false, nil)
+		ep = h.greedyClosest(q, ep, lc, false, sc)
 	}
 	ef := h.cfg.EfSearch
 	if ef < n {
 		ef = n
 	}
-	vis := h.visited.Get().(*visitSet)
 	collect := newTopN(n)
-	h.searchLayer(q, ep, ef, 0, vis, false, nil, collect, exclude)
-	h.visited.Put(vis)
+	h.searchLayer(q, ep, ef, 0, sc, false, collect, exclude)
+	h.scratches.Put(sc)
 	return collect.sorted()
 }
 
-// visitSet is an epoch-stamped visited marker: reset is O(1) by bumping
-// the epoch, with a full clear only on the (practically unreachable)
-// uint32 wraparound.
-type visitSet struct {
+// scratch is one searcher's working memory, reused from search to search: a
+// build worker owns one, queries take one from the pool. It holds the
+// epoch-stamped visited set (reset is O(1) by bumping the epoch, with a full
+// clear only on the practically unreachable uint32 wraparound), the two
+// search heaps, and the buffers of one expansion step.
+type scratch struct {
 	stamp []uint32
 	epoch uint32
+
+	front  maxHeap
+	beam   minHeap
+	fresh  []int32   // the expanded node's unvisited neighbors
+	sims   []float64 // similarities of fresh, of a greedy step's or a shrink's list
+	buf    []int32   // a neighbor list copied under its node's lock
+	cands  []cand    // shrink's candidates, sorted
+	pruned []int32   // selectNeighbors' rejects
 }
 
-func (v *visitSet) reset() {
+// newScratch sizes a scratch for n nodes and degree m: no neighbor list is
+// longer than a base layer's 2m plus the link that triggers a shrink.
+func newScratch(n, m int) *scratch {
+	width := 2*m + 1
+	return &scratch{
+		stamp:  make([]uint32, n),
+		fresh:  make([]int32, 0, width),
+		sims:   make([]float64, width),
+		buf:    make([]int32, width),
+		cands:  make([]cand, 0, width),
+		pruned: make([]int32, 0, width),
+	}
+}
+
+func (v *scratch) reset() {
 	v.epoch++
 	if v.epoch == 0 {
 		clear(v.stamp)
@@ -397,66 +454,106 @@ func (v *visitSet) reset() {
 	}
 }
 
-func (v *visitSet) mark(n int32)        { v.stamp[n] = v.epoch }
-func (v *visitSet) marked(n int32) bool { return v.stamp[n] == v.epoch }
+func (v *scratch) mark(n int32)        { v.stamp[n] = v.epoch }
+func (v *scratch) marked(n int32) bool { return v.stamp[n] == v.epoch }
 
-// candQueue is a binary heap of candidates under an arbitrary "nearer the
-// root" ordering — max-heap with better, min-heap with its inverse.
-type candQueue struct {
-	items []cand
-	cmp   func(a, b cand) bool
-}
+// maxHeap is the search frontier: a binary heap whose root is the best
+// candidate under better. better is a strict total order over distinct
+// nodes, so the pop sequence does not depend on the heap's layout.
+type maxHeap []cand
 
-func (h *candQueue) len() int   { return len(h.items) }
-func (h *candQueue) peek() cand { return h.items[0] }
+// The sifts below move a hole rather than swap: the moving candidate is
+// written once, where it comes to rest.
 
-func (h *candQueue) push(c cand) {
-	h.items = append(h.items, c)
-	i := len(h.items) - 1
+func (h *maxHeap) push(c cand) {
+	s := append(*h, c)
+	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.cmp(h.items[i], h.items[p]) {
+		if !better(c, s[p]) {
 			break
 		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = c
+	*h = s
 }
 
-func (h *candQueue) pop() cand {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
+func (h *maxHeap) pop() cand {
+	s := *h
+	top, n := s[0], len(s)-1
+	c, i := s[n], 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && h.cmp(h.items[l], h.items[best]) {
-			best = l
-		}
-		if r < last && h.cmp(h.items[r], h.items[best]) {
-			best = r
-		}
-		if best == i {
+		k := 2*i + 1 // the better child
+		if k >= n {
 			break
 		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
+		if k+1 < n && better(s[k+1], s[k]) {
+			k++
+		}
+		if !better(s[k], c) {
+			break
+		}
+		s[i] = s[k]
+		i = k
 	}
+	s[i] = c
+	*h = s[:n]
 	return top
 }
 
-// sortCands orders candidates best-first (descending similarity, ties by
-// ascending id).
-func sortCands(cs []cand) {
-	slices.SortFunc(cs, func(a, b cand) int {
-		switch {
-		case better(a, b):
-			return -1
-		case better(b, a):
-			return 1
+// minHeap is the search beam: the best candidates seen, in a binary heap
+// whose root is the worst of them — the search's give-up bound.
+type minHeap []cand
+
+func (h *minHeap) push(c cand) {
+	s := append(*h, c)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !better(s[p], c) {
+			break
 		}
-		return 0
-	})
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = c
+	*h = s
+}
+
+// replaceRoot puts c, which must beat the root, in the worst one's place: the
+// push-then-pop of a full beam in one sift.
+func (h minHeap) replaceRoot(c cand) {
+	h[0] = c
+	h.down(0, len(h))
+}
+
+// down sifts h[i] toward the leaves of the heap h[:n].
+func (h minHeap) down(i, n int) {
+	c := h[i]
+	for {
+		k := 2*i + 1 // the worse child
+		if k >= n {
+			break
+		}
+		if k+1 < n && better(h[k], h[k+1]) {
+			k++
+		}
+		if !better(c, h[k]) {
+			break
+		}
+		h[i] = h[k]
+		i = k
+	}
+	h[i] = c
+}
+
+// sortBest heap-sorts the beam in place, best first: each pass moves the
+// worst remaining candidate behind the shrinking heap.
+func (h minHeap) sortBest() {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		h.down(0, n)
+	}
 }

@@ -27,7 +27,8 @@
 //
 // Concurrency: a Store and every Retriever built over it are immutable
 // after construction and safe for unbounded concurrent Search calls.
-// Construction itself is single-threaded. The serving engine exploits the
+// Construction is sequential by default and concurrent with
+// Config.BuildWorkers > 1 (see HNSW). The serving engine exploits the
 // immutability by hanging one index off each RCU generation snapshot: the
 // index is rebuilt when new weights are published and shares the fate of
 // the generation, so stale embeddings are never searched against new
@@ -219,10 +220,12 @@ func (s *Store) ID(i int) int { return s.ids[i] }
 func (s *Store) vec(i int) []float64 { return s.data[i*s.dim : (i+1)*s.dim] }
 
 // normalize scales v to unit L2 norm in place; zero vectors are left alone.
+// The float64 conversion keeps a fusing compiler (arm64) from turning the sum
+// into multiply-adds, so every host stores the same bits.
 func normalize(v []float64) {
 	var ss float64
 	for _, x := range v {
-		ss += x * x
+		ss += float64(x * x)
 	}
 	if ss == 0 {
 		return
@@ -251,23 +254,60 @@ func normalizeQuery(q []float64, dim int) []float64 {
 //
 // This is deliberately not tensor.DotVec: splitting one sum over four
 // accumulators reassociates it, which the model kernels may not do (their
-// contract is bit-identity with the tape) and retrieval may — its contract is
-// recall against exact search, which BENCHMARK.json pins (index.recall_at_100).
+// contract is bit-identity with the tape) and retrieval may. Retrieval's own
+// contract is that this association is the only one: Store.dots' vector body
+// computes exactly it, and every product is rounded before it is added
+// (float64(x*y)), so a compiler that fuses multiply-add (arm64) cannot change
+// a bit either. The same store builds the same graph on every host.
 func dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	n := len(a) &^ 3
 	for i := 0; i < n; i += 4 {
 		aa, bb := a[i:i+4:i+4], b[i:i+4:i+4]
-		s0 += aa[0] * bb[0]
-		s1 += aa[1] * bb[1]
-		s2 += aa[2] * bb[2]
-		s3 += aa[3] * bb[3]
+		s0 += float64(aa[0] * bb[0])
+		s1 += float64(aa[1] * bb[1])
+		s2 += float64(aa[2] * bb[2])
+		s3 += float64(aa[3] * bb[3])
 	}
 	for i := n; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return s0 + s1 + s2 + s3
+}
+
+// dots sets out[k] = dot(q, s.vec(rows[k])) for every k, bit for bit. On AVX2
+// with a dimension that is a multiple of four it runs dotsAVX2, four rows a
+// pass; one to three rows left over run as one more pass over a padded group,
+// the spare lanes repeating the last row. Otherwise, and as the oracle the
+// tests hold the vector body to, it is dot's loop row by row.
+func (s *Store) dots(out, q []float64, rows []int32) {
+	out = out[:len(rows)]
+	q = q[:s.dim]
+	if !useAVX2 || s.dim%4 != 0 {
+		for k, r := range rows {
+			out[k] = dot(q, s.vec(int(r)))
+		}
+		return
+	}
+	for _, r := range rows { // the vector body checks no bounds
+		if uint(r) >= uint(len(s.ids)) {
+			panic(fmt.Sprintf("index: row %d of %d", r, len(s.ids)))
+		}
+	}
+	n := len(rows) &^ 3
+	if n > 0 {
+		dotsAVX2(&out[0], &q[0], s.dim, &s.data[0], &rows[0], n)
+	}
+	if rest := rows[n:]; len(rest) > 0 {
+		var pad [4]int32
+		var sims [4]float64
+		for j := range pad {
+			pad[j] = rest[min(j, len(rest)-1)]
+		}
+		dotsAVX2(&sims[0], &q[0], s.dim, &s.data[0], &pad[0], 4)
+		copy(out[n:], sims[:])
+	}
 }
 
 // sortResults orders results by descending similarity, ties by ascending

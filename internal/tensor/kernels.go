@@ -28,8 +28,13 @@ import "fmt"
 // Every step is written acc + x*y, so a compiler that fuses multiply-add
 // (arm64) fuses these and the reference loops of kernels_test.go alike; the
 // vector bodies multiply and add apart, as the amd64 compiler does.
-// internal/index keeps its own four-accumulator dot: it reassociates, under
-// index's recall contract rather than this one.
+// internal/index keeps its own four-accumulator dot, with a vector body of the
+// same association beside it (index's dots_amd64.s), under that package's
+// own contract: a graph and results identical on every host, not this one.
+
+// HasAVX2 reports whether this CPU runs the vector bodies; internal/index's
+// assembly follows the same detection.
+func HasAVX2() bool { return useAVX2 }
 
 // tile is the number of output elements (dot form) or k terms (axpy form) one
 // pass of the Go loops covers. Eight measured slower: the sums no longer fit
