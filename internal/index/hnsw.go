@@ -32,7 +32,8 @@ import (
 //
 // Every similarity is dot's, batched through Store.dots, and every ordering
 // is better's, a strict total order over distinct nodes: a sequential build is
-// a pure function of (store, Config) on every host, and so is Search.
+// a pure function of (store, Config) on every host, and so is a search of a
+// given graph.
 type HNSW struct {
 	store *Store
 	cfg   Config
@@ -199,9 +200,13 @@ func (h *HNSW) insert(i int32, level int, sc *scratch, locked bool) {
 		// Room for the link that triggers a shrink: the list never moves.
 		neighbors := h.selectNeighbors(make([]int32, 0, maxConn+1), found, h.cfg.M, sc)
 		if locked {
+			// Once published, the list can be shrunk in place by a worker
+			// linking to i: walk a copy taken before.
+			own := append(sc.buf[:0], neighbors...)
 			h.nodeLocks[i].Lock()
 			h.links[i][lc] = neighbors
 			h.nodeLocks[i].Unlock()
+			neighbors = own
 		} else {
 			h.links[i][lc] = neighbors
 		}
@@ -427,7 +432,7 @@ type scratch struct {
 	beam   minHeap
 	fresh  []int32   // the expanded node's unvisited neighbors
 	sims   []float64 // similarities of fresh, of a greedy step's or a shrink's list
-	buf    []int32   // a neighbor list copied under its node's lock
+	buf    []int32   // a neighbor list copied under its node's lock, or before it is published
 	cands  []cand    // shrink's candidates, sorted
 	pruned []int32   // selectNeighbors' rejects
 }
