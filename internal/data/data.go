@@ -123,17 +123,15 @@ func (d *Dataset) Validate() error {
 }
 
 // instance builds the feature.Instance for predicting position pos of user
-// u's log from everything before it.
-func (d *Dataset) instance(u, pos int) feature.Instance {
+// u's log from everything before it. objs holds the log's object ids; the
+// instance's history is its first pos entries, capped so that an append
+// copies instead of writing into objs.
+func (d *Dataset) instance(u, pos int, objs []int) feature.Instance {
 	log := d.Users[u]
-	hist := make([]int, pos)
-	for i := 0; i < pos; i++ {
-		hist[i] = log[i].Object
-	}
 	inst := feature.Instance{
 		User:       u,
 		Target:     log[pos].Object,
-		Hist:       hist,
+		Hist:       objs[:pos:pos],
 		Label:      log[pos].Rating,
 		UserAttr:   feature.Pad,
 		TargetAttr: feature.Pad,
@@ -162,6 +160,10 @@ func (d *Dataset) WithTargetObject(inst feature.Instance, object int) feature.In
 // transaction the last record is the test ground truth, the second-last the
 // validation record, and the rest train the models. Users with fewer than
 // three interactions contribute only training positions.
+//
+// The instances of one user share one array of that user's object ids: each
+// Hist is a prefix of it, capped at its own length. Split histories are
+// therefore read-only; appending to one copies it.
 type Split struct {
 	ds    *Dataset
 	Train []feature.Instance
@@ -171,22 +173,42 @@ type Split struct {
 
 // NewSplit materialises the leave-one-out split. Training instances are
 // built from every in-log position (each object predicted from its prefix),
-// skipping position 0, which has no history to condition on.
+// skipping position 0, which has no history to condition on. It copies each
+// user's object ids once, however many instances the user yields, and sizes
+// the three instance lists up front.
 func NewSplit(d *Dataset) *Split {
-	s := &Split{ds: d}
+	var nTrain, nHeldOut int
+	for _, log := range d.Users {
+		if n := len(log); n >= 3 {
+			nTrain += n - 3
+			nHeldOut++
+		} else if n > 1 {
+			nTrain += n - 1
+		}
+	}
+	s := &Split{
+		ds:    d,
+		Train: make([]feature.Instance, 0, nTrain),
+		Val:   make([]feature.Instance, 0, nHeldOut),
+		Test:  make([]feature.Instance, 0, nHeldOut),
+	}
 	for u, log := range d.Users {
 		n := len(log)
-		if n == 0 {
+		if n < 2 {
 			continue
+		}
+		objs := make([]int, n-1) // the last record is never history
+		for i := range objs {
+			objs[i] = log[i].Object
 		}
 		trainEnd := n
 		if n >= 3 {
 			trainEnd = n - 2
-			s.Val = append(s.Val, d.instance(u, n-2))
-			s.Test = append(s.Test, d.instance(u, n-1))
+			s.Val = append(s.Val, d.instance(u, n-2, objs))
+			s.Test = append(s.Test, d.instance(u, n-1, objs))
 		}
 		for pos := 1; pos < trainEnd; pos++ {
-			s.Train = append(s.Train, d.instance(u, pos))
+			s.Train = append(s.Train, d.instance(u, pos, objs))
 		}
 	}
 	return s

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -73,6 +74,110 @@ func TestSplitChronology(t *testing.T) {
 			if log[i].Object != h {
 				t.Fatal("history does not match the chronological prefix")
 			}
+		}
+	}
+}
+
+// copiedSplit is the reference leave-one-out split: every instance owns a
+// fresh copy of its history prefix, as NewSplit built them before the
+// instances of one user came to share one array.
+func copiedSplit(d *Dataset) (train, val, test []feature.Instance) {
+	inst := func(u, pos int) feature.Instance {
+		log := d.Users[u]
+		hist := make([]int, pos)
+		for i := range hist {
+			hist[i] = log[i].Object
+		}
+		out := feature.Instance{User: u, Target: log[pos].Object, Hist: hist, Label: log[pos].Rating,
+			UserAttr: feature.Pad, TargetAttr: feature.Pad}
+		if d.NumUserAttrs > 0 {
+			out.UserAttr = d.UserAttr[u]
+		}
+		if d.NumItemAttrs > 0 {
+			out.TargetAttr = d.ItemAttr[log[pos].Object]
+		}
+		return out
+	}
+	for u, log := range d.Users {
+		n := len(log)
+		trainEnd := n
+		if n >= 3 {
+			trainEnd = n - 2
+			val = append(val, inst(u, n-2))
+			test = append(test, inst(u, n-1))
+		}
+		for pos := 1; pos < trainEnd; pos++ {
+			train = append(train, inst(u, pos))
+		}
+	}
+	return train, val, test
+}
+
+// TestSplitHistoriesShareOneArrayPerUser: NewSplit's instances equal the
+// copied-prefix reference field for field, every history is capped at its
+// length, and appending to one history leaves every other instance as it was.
+func TestSplitHistoriesShareOneArrayPerUser(t *testing.T) {
+	poi, err := GeneratePOI(GowallaConfig(0.001, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr, err := GenerateCTR(TrivagoConfig(0.001, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dataset{tinyDataset(), randomLogDataset(rand.New(rand.NewSource(1)), 60, 25), poi, ctr} {
+		s := NewSplit(d)
+		wantTrain, wantVal, wantTest := copiedSplit(d)
+		for _, c := range []struct {
+			name      string
+			got, want []feature.Instance
+		}{{"Train", s.Train, wantTrain}, {"Val", s.Val, wantVal}, {"Test", s.Test, wantTest}} {
+			if len(c.got) != len(c.want) {
+				t.Fatalf("%s: %d %s instances, want %d", d.Name, len(c.got), c.name, len(c.want))
+			}
+			for i, inst := range c.got {
+				if cap(inst.Hist) != len(inst.Hist) {
+					t.Fatalf("%s: %s[%d] hist len %d cap %d", d.Name, c.name, i, len(inst.Hist), cap(inst.Hist))
+				}
+				if !reflect.DeepEqual(inst, c.want[i]) {
+					t.Fatalf("%s: %s[%d] = %+v, want %+v", d.Name, c.name, i, inst, c.want[i])
+				}
+			}
+		}
+		for i := range s.Train {
+			s.Train[i].Hist = append(s.Train[i].Hist, -1)
+		}
+		for i := range s.Val {
+			s.Val[i].Hist = append(s.Val[i].Hist, -1)
+		}
+		for i, inst := range s.Test {
+			if !reflect.DeepEqual(inst, wantTest[i]) {
+				t.Fatalf("%s: Test[%d] = %+v after appending to every other history, want %+v", d.Name, i, inst, wantTest[i])
+			}
+		}
+	}
+}
+
+// TestNewSplitAllocsGrowWithUsers: NewSplit allocates the Split, its three
+// instance lists and one history array per user with at least two records —
+// as many objects for logs of 5 records as for logs of 50.
+func TestNewSplitAllocsGrowWithUsers(t *testing.T) {
+	logs := func(users, length int) *Dataset {
+		d := &Dataset{Name: "fixed-logs", Task: Ranking, NumUsers: users, NumObjects: 25}
+		d.Users = make([][]Interaction, users)
+		for u := range d.Users {
+			for i := 0; i < length; i++ {
+				d.Users[u] = append(d.Users[u], Interaction{Object: (u + i) % 25, Rating: 1, Time: int64(i)})
+			}
+		}
+		return d
+	}
+	allocs := func(d *Dataset) float64 { return testing.AllocsPerRun(20, func() { NewSplit(d) }) }
+	for _, users := range []int{10, 40} {
+		short, long := allocs(logs(users, 5)), allocs(logs(users, 50))
+		if want := float64(4 + users); short != want || long != want {
+			t.Fatalf("NewSplit allocs over %d users: %v with 5 records each, %v with 50; want %v for both",
+				users, short, long, want)
 		}
 	}
 }

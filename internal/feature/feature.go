@@ -26,7 +26,9 @@ type Instance struct {
 	Target int
 	// Hist lists previously interacted object ids, oldest first. It is the
 	// unpadded dynamic feature sequence; models truncate/pad it to their
-	// configured maximum length n. via Space.PadHist.
+	// configured maximum length n. via Space.PadHist. Models only read it;
+	// the instances of a data.Split share one array per user, so Hist must
+	// be treated as read-only.
 	Hist []int
 	// UserAttr and TargetAttr are optional static side features (e.g. user
 	// group, object category); Pad means absent.

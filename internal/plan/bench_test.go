@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"seqfm/internal/ag"
@@ -14,7 +15,7 @@ import (
 // benchModel is the paper's default configuration {d=64, l=1, n.=20} on the
 // serving-benchmark space — the workload whose per-instance cost the compiled
 // engine exists to cut.
-func benchModel(b *testing.B) (*core.Model, feature.Instance) {
+func benchModel(b testing.TB) (*core.Model, feature.Instance) {
 	b.Helper()
 	cfg := core.DefaultConfig(feature.Space{NumUsers: 1000, NumObjects: 2000})
 	m, err := core.New(cfg)
@@ -181,8 +182,9 @@ func BenchmarkExecScoreFast(b *testing.B)       { benchScoreFast(b, plan.For) }
 func BenchmarkExecScoreFastFrozen(b *testing.B) { benchScoreFast(b, plan.Frozen) }
 
 // benchPrecomputeDynamic times the per-history phase. Its result is a fresh
-// snapshot, whose allocations (the struct, the padded index and four cloned
-// matrices: 10 objects) are the call's purpose; nothing else may allocate.
+// snapshot, whose allocations (the struct, the padded index and the cloned
+// dynamic-view output, header and data: 4 objects) are the call's purpose;
+// nothing else may allocate.
 func benchPrecomputeDynamic(b *testing.B, compile func(any) (*plan.Plan, error)) {
 	m, inst := benchModel(b)
 	pl, err := compile(m)
@@ -191,7 +193,7 @@ func benchPrecomputeDynamic(b *testing.B, compile func(any) (*plan.Plan, error))
 	}
 	e := pl.NewExec()
 	e.PrecomputeDynamic(inst.Hist)
-	assertAllocs(b, "PrecomputeDynamic", 10, func() { e.PrecomputeDynamic(inst.Hist) })
+	assertAllocs(b, "PrecomputeDynamic", 4, func() { e.PrecomputeDynamic(inst.Hist) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -201,3 +203,28 @@ func benchPrecomputeDynamic(b *testing.B, compile func(any) (*plan.Plan, error))
 
 func BenchmarkExecPrecomputeDynamic(b *testing.B)       { benchPrecomputeDynamic(b, plan.For) }
 func BenchmarkExecPrecomputeDynamicFrozen(b *testing.B) { benchPrecomputeDynamic(b, plan.Frozen) }
+
+// TestFrozenPrecomputeDynamicBytes bounds what a serving cache entry costs to
+// make: at the benchmark shape (d=64, n.=20) a frozen PrecomputeDynamic
+// allocates its snapshot alone — a 160 B padded index, a 512 B dynamic-view
+// vector and their headers — and no copy of the cross view's 3×n.×d
+// row-blocks, which the plan's tables already hold.
+func TestFrozenPrecomputeDynamicBytes(t *testing.T) {
+	m, inst := benchModel(t)
+	pl, err := plan.Frozen(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := pl.NewExec()
+	e.PrecomputeDynamic(inst.Hist) // fills the table rows
+	const calls, maxBytes = 100, 1024
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		e.PrecomputeDynamic(inst.Hist)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > maxBytes {
+		t.Fatalf("frozen PrecomputeDynamic allocates %d B per call, want at most %d", per, maxBytes)
+	}
+}

@@ -118,10 +118,12 @@ type Exec struct {
 	hd0        *tensor.Matrix // n×d dynamic-view attention output
 	ffnD       ffnCache
 
-	qDbuf, kDbuf, vDbuf *tensor.Matrix // n×d cross-view dynamic row-blocks
-	// hD/qD/kD/vD are what the candidate phase consumes: aliases of the
-	// buffers above after beginDynamic, or of a DynState snapshot in ScoreFast.
-	hD, qD, kD, vD *tensor.Matrix
+	// hD is the dynamic-view output the candidate phase consumes: ffnD's
+	// output after beginDynamic, a DynState's HD in ScoreFast.
+	hD *tensor.Matrix
+	// qD/kD/vD are the cross view's n×d dynamic row-blocks for the dynamic
+	// phase xdyn keys; a DynState does not carry them (projectCrossD).
+	qD, kD, vD *tensor.Matrix
 
 	// ---- candidate phase ----
 	slots  []*candSlot
@@ -205,9 +207,9 @@ func (p *Plan) NewExec() *Exec {
 		e.scrD = p.newAttnScratch(n)
 	}
 	if p.hasX {
-		e.qDbuf = tensor.New(n, d)
-		e.kDbuf = tensor.New(n, d)
-		e.vDbuf = tensor.New(n, d)
+		e.qD = tensor.New(n, d)
+		e.kD = tensor.New(n, d)
+		e.vD = tensor.New(n, d)
 		e.xrows = make([]crossRow, s)
 		for i := range e.xrows {
 			e.xrows[i] = crossRow{idx: -1, buf: make([]float64, 3*d), att: make([]float64, d), col: make([]float64, n)}
@@ -454,15 +456,21 @@ func (e *Exec) beginDynamic(hist []int, training bool) {
 		e.hD = nil
 	}
 	if p.hasX {
-		e.projectQKV(p.tab.crossD, e.dynIdx, e.eD, p.spec.AttnX, e.qDbuf, e.kDbuf, e.vDbuf)
-		e.qD, e.kD, e.vD = e.qDbuf, e.kDbuf, e.vDbuf
-	} else {
-		e.qD, e.kD, e.vD = nil, nil, nil
+		e.projectCrossD(e.dynIdx)
 	}
 	e.resetCross(nil)
 }
 
-// resetCross empties the cross-view memo and keys it on the dynamic phase st.
+// projectCrossD fills qD/kD/vD with the cross view's dynamic row-blocks for
+// the padded history dynIdx. A live plan multiplies eD, which must hold
+// dynIdx's gathered embedding rows; a frozen plan copies table rows.
+func (e *Exec) projectCrossD(dynIdx []int) {
+	p := e.plan
+	e.projectQKV(p.tab.crossD, dynIdx, e.eD, p.spec.AttnX, e.qD, e.kD, e.vD)
+}
+
+// resetCross empties the cross-view memo and keys it on the dynamic phase st,
+// whose cross row-blocks qD/kD/vD must already hold.
 func (e *Exec) resetCross(st *core.DynState) {
 	e.xdyn = st
 	for i := range e.xrows {
@@ -555,8 +563,8 @@ func (e *Exec) crossDense(sl *candSlot) {
 // phase alone, so a position whose index the previous candidate shared keeps
 // them. The pool then adds A_p in position order and the dynamic rows'
 // attended Σ_p w_p·v_p in row order — the dense row order meanRowsInto pools
-// in. qD/kD/vD are read where they lie, in the Exec's buffers or the caller's
-// DynState, and a frozen plan's q_p|k_p|v_p in its table.
+// in. qD/kD/vD are read in the Exec's buffers, and a frozen plan's
+// q_p|k_p|v_p in its table.
 func (e *Exec) crossRows(sl *candSlot) {
 	p := e.plan
 	d := p.d
@@ -648,7 +656,8 @@ func (e *Exec) Forward(insts []feature.Instance, training bool) []float64 {
 
 // PrecomputeDynamic runs the compiled dynamic phase and snapshots it as a
 // core.DynState. A snapshot from a live or a frozen plan of the same weights
-// is scored identically, bit for bit, by either.
+// is scored identically, bit for bit, by either. The Exec's cross row-blocks
+// are left keyed on the snapshot, so scoring it here next re-derives nothing.
 func (e *Exec) PrecomputeDynamic(hist []int) *core.DynState {
 	e.fwdTraining = false
 	e.beginDynamic(hist, false)
@@ -660,11 +669,7 @@ func (e *Exec) PrecomputeDynamic(hist []int) *core.DynState {
 	if e.hD != nil {
 		st.HD = e.hD.Clone()
 	}
-	if e.qD != nil {
-		st.QD = e.qD.Clone()
-		st.KD = e.kD.Clone()
-		st.VD = e.vD.Clone()
-	}
+	e.resetCross(st)
 	return st
 }
 
@@ -680,8 +685,13 @@ func (e *Exec) ScoreFast(st *core.DynState, inst feature.Instance, hS *tensor.Ma
 	e.padCount = st.PadCount
 	e.linD = st.LinD
 	e.hD = st.HD
-	e.qD, e.kD, e.vD = st.QD, st.KD, st.VD
 	if st != e.xdyn {
+		if p := e.plan; p.hasX {
+			if !p.frozen {
+				gatherRows(e.eD, p.spec.EmbD.Value, st.DynIdx)
+			}
+			e.projectCrossD(st.DynIdx)
+		}
 		e.resetCross(st)
 	}
 	e.ensureSlots(1)

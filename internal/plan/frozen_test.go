@@ -154,9 +154,11 @@ func TestFrozenPlanRejectsTraining(t *testing.T) {
 // bit, to a fresh Exec's Score and to the tape: candidate streams under one
 // DynState where the user or an attribute changes mid-stream, the same statics
 // under a second DynState and back, snapshots dropped and reallocated between
-// calls, PrecomputeDynamic / Score / Forward cutting in, and histories of every
-// pad count from all-padded to overfull — over inferenceMatrix, so n° ∈
-// {2,3,4} and MaskPadding both ways, on live and frozen plans.
+// calls, PrecomputeDynamic / Score / Forward cutting in under one DynState
+// and between two scored alternately (whose cross row-blocks the Exec must
+// then re-derive), and histories of every pad count from all-padded to
+// overfull — over inferenceMatrix, so every ablation, n° ∈ {2,3,4} and
+// MaskPadding both ways, on live and frozen plans.
 func TestCrossMemoMatchesFreshScore(t *testing.T) {
 	kinds := map[string]func(any) (*plan.Plan, error){"live": plan.For, "frozen": plan.Frozen}
 	hists := [][]int{nil, {8}, {3, 8}, {1, 7, 3}, {1, 2, 3, 4}, {0, 1, 2, 3, 4, 5, 6}}
@@ -242,6 +244,28 @@ func TestCrossMemoMatchesFreshScore(t *testing.T) {
 				check(fmt.Sprintf("Forward[%d]", i), got, batch[i])
 			}
 			fast("after Forward", dyns[3], inst, hists[3])
+			// Two snapshots scored alternately, a third history's dynamic
+			// phase cutting in between: a DynState carries no cross
+			// row-blocks, so the one scored after a cut-in or after the
+			// other snapshot must re-derive them from its DynIdx.
+			third := hists[5]
+			for k := 0; k < 6; k++ {
+				i := []int{1, 3}[k%2]
+				fast(fmt.Sprintf("pair[%d] before cut-in", k), dyns[i], statics[k], hists[i])
+				cut := statics[k]
+				cut.Hist = third
+				switch k % 3 {
+				case 0:
+					e.PrecomputeDynamic(third)
+				case 1:
+					check(fmt.Sprintf("pair[%d] Score cut-in", k), e.Score(cut), cut)
+				case 2:
+					check(fmt.Sprintf("pair[%d] Forward cut-in", k), e.Forward([]feature.Instance{cut}, false)[0], cut)
+				}
+				fast(fmt.Sprintf("pair[%d] after cut-in", k), dyns[i], statics[k+1], hists[i])
+			}
+			// The Exec that produced a snapshot scores it from its own buffers.
+			fast("own snapshot", e.PrecomputeDynamic(third), statics[2], third)
 		}
 	}
 }

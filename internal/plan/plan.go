@@ -43,12 +43,16 @@
 //     scores against the dynamic queries — a column of dots k_p·qD_i, the
 //     dense qD_i·k_p with each product commuted — read from the shared
 //     dynamic blocks and a frozen plan's tables in place, with no (n°+n.)²
-//     buffer. An Exec keeps a row's share while the next candidate has the
-//     same static index there under the same dynamic phase (the DynState a
-//     ScoreFast caller passes, which the Exec holds on to, or its own
-//     buffers until the next dynamic phase overwrites them), so a request
-//     computes its user's rows once per worker. Training forwards neither
-//     read nor fill that memo; they keep the dense buffers Backward consumes.
+//     buffer. The shared dynamic blocks live in the Exec alone: a DynState
+//     does not carry them, and ScoreFast re-derives them from its padded
+//     history, through the call beginDynamic makes, whenever the snapshot
+//     differs from the dynamic phase the Exec holds. An Exec keeps a row's
+//     share while the next candidate has the same static index there under
+//     the same dynamic phase (the DynState a ScoreFast caller passes or
+//     PrecomputeDynamic returns, which the Exec holds on to, or its own
+//     phase until the next one overwrites it), so a request computes its
+//     user's rows once per worker. Training forwards neither read nor fill
+//     that memo; they keep the dense buffers Backward consumes.
 //   - The hand-derived backward computes the same mathematical gradients as
 //     the tape's reverse pass, exact up to IEEE reassociation (the shared
 //     dynamic subgraph accumulates upstream gradients in candidate order

@@ -87,6 +87,9 @@ type Config struct {
 	StaticCacheSize int
 	// DynCacheSize bounds the dynamic-state memo (entries keyed by
 	// history). 0 means DefaultDynCacheSize; negative disables the cache.
+	// At d=64, n.=20 an entry's core.DynState allocates 768 B (the padded
+	// history and the 1×d dynamic-view vector), plus its key — the
+	// history's varints — and the cache's bookkeeping.
 	DynCacheSize int
 	// BatchSize is the accumulator flush threshold for single-instance
 	// Score requests. 0 means DefaultBatchSize; 1 disables accumulation
