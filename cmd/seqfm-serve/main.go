@@ -147,8 +147,6 @@ func main() {
 		cfgFlags    = flag.Bool("config-from-flags", false, "allow loading a legacy v1 checkpoint, taking the model config from -dataset/-scale")
 		save        = flag.String("save", "", "write the trained model to this file (ckpt v2)")
 		workers     = flag.Int("workers", 0, "engine scoring goroutines (0 = GOMAXPROCS)")
-		batchSize   = flag.Int("batch-size", 0, "micro-batch flush threshold for single-score requests (0 = default, 1 = off)")
-		maxDelay    = flag.Duration("max-delay", 0, "micro-batch flush deadline (0 = default)")
 		staticCache = flag.Int("static-cache", 0, "static-view cache entries (0 = default, <0 = off)")
 		dynCache    = flag.Int("dyn-cache", 0, "dynamic-state cache entries (0 = default, <0 = off)")
 		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this side listener address, e.g. localhost:6060 (empty = off)")
@@ -263,8 +261,6 @@ func main() {
 		checkpoint: *checkpoint, configFromFlags: *cfgFlags, save: *save,
 		engine: serve.Config{
 			Workers:         *workers,
-			BatchSize:       *batchSize,
-			MaxDelay:        *maxDelay,
 			StaticCacheSize: *staticCache,
 			DynCacheSize:    *dynCache,
 		},

@@ -766,7 +766,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"generation":     st.Generation,
 			"swaps":          st.Swaps,
 			"instances":      st.Instances,
-			"flushes":        st.Flushes,
 			"static_hits":    st.StaticHits,
 			"static_misses":  st.StaticMisses,
 			"dyn_hits":       st.DynHits,

@@ -75,8 +75,6 @@ func (s *Server) registerEngine(reg *obs.Registry) {
 		eng.SwapLatency())
 	reg.CounterFunc("seqfm_engine_instances_total", "Instances scored.",
 		func() int64 { return eng.Stats().Instances })
-	reg.CounterFunc("seqfm_engine_batch_flushes_total", "Accumulated score micro-batches run.",
-		func() int64 { return eng.Stats().Flushes })
 	reg.CounterFunc("seqfm_engine_cache_hits_total", "Memo-cache hits, by cache.",
 		func() int64 { return eng.Stats().StaticHits }, obs.Label{Name: "cache", Value: "static"})
 	reg.CounterFunc("seqfm_engine_cache_hits_total", "Memo-cache hits, by cache.",

@@ -151,7 +151,7 @@ func TestCompactedRecoveryBitIdentical(t *testing.T) {
 		t.Fatalf("generation diverged: uninterrupted %d, compacted-recovered %d", gu, gr)
 	}
 	inst := feature.Instance{User: 2, Target: 5, Hist: []int{1, 2, 3}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
-	if a, b := engU.Score(inst), engR.Score(inst); a != b {
+	if a, b := engU.ScoreBatch([]feature.Instance{inst})[0], engR.ScoreBatch([]feature.Instance{inst})[0]; a != b {
 		t.Fatalf("served scores diverge: %v != %v", a, b)
 	}
 	su, sr := lU.Stats(), lR.Stats()
@@ -288,7 +288,7 @@ func TestCompactionCrashInterleavingsStayRecoverable(t *testing.T) {
 				t.Fatalf("generation diverged: %d != %d", gu, gr)
 			}
 			inst := feature.Instance{User: 1, Target: 9, Hist: []int{2, 4}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
-			if a, b := engU.Score(inst), engR.Score(inst); a != b {
+			if a, b := engU.ScoreBatch([]feature.Instance{inst})[0], engR.ScoreBatch([]feature.Instance{inst})[0]; a != b {
 				t.Fatalf("served scores diverge: %v != %v", a, b)
 			}
 		})

@@ -265,7 +265,7 @@ func TestSyncTrainsAndPublishes(t *testing.T) {
 	}
 	gen0 := eng.Generation()
 	inst := feature.Instance{User: 1, Target: 2, Hist: []int{3, 4}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
-	before := eng.Score(inst)
+	before := eng.ScoreBatch([]feature.Instance{inst})[0]
 
 	for i := 0; i < 20; i++ {
 		if err := l.Ingest(i%ds.NumUsers, (i*7)%ds.NumObjects, 1); err != nil {
@@ -283,7 +283,7 @@ func TestSyncTrainsAndPublishes(t *testing.T) {
 	if st.Swaps != 1 || eng.Generation() != gen0+1 {
 		t.Fatalf("publish missing: %+v gen=%d", st, eng.Generation())
 	}
-	after := eng.Score(inst)
+	after := eng.ScoreBatch([]feature.Instance{inst})[0]
 	if after == before {
 		t.Fatal("fine-tuning left served weights untouched")
 	}
@@ -475,7 +475,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	// Both serving engines publish the same generation weights.
 	inst := feature.Instance{User: 2, Target: 5, Hist: []int{1, 2, 3}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
-	if a, b := engA.Score(inst), engB.Score(inst); a != b {
+	if a, b := engA.ScoreBatch([]feature.Instance{inst})[0], engB.ScoreBatch([]feature.Instance{inst})[0]; a != b {
 		t.Fatalf("served scores diverge after resume: %v != %v", a, b)
 	}
 }

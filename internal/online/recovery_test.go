@@ -158,7 +158,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				t.Fatalf("generation diverged: uninterrupted %d, recovered %d", gu, gr)
 			}
 			inst := feature.Instance{User: 2, Target: 5, Hist: []int{1, 2, 3}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
-			if a, b := engU.Score(inst), engR.Score(inst); a != b {
+			if a, b := engU.ScoreBatch([]feature.Instance{inst})[0], engR.ScoreBatch([]feature.Instance{inst})[0]; a != b {
 				t.Fatalf("served scores diverge: %v != %v", a, b)
 			}
 			// The learners agree on durability accounting too.

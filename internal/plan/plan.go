@@ -181,7 +181,7 @@ func For(m any) (*Plan, error) {
 // generation. Its Execs read each Emb[i]·W row from a per-plan table filled
 // on first touch instead of multiplying it out per request; scores stay
 // bit-identical to For's. Mutating the weights afterwards makes the plan
-// stale: compile a new one (serve does, on every Swap and InvalidateCaches).
+// stale: compile a new one (serve does, on every Swap).
 // Training forwards on a frozen plan panic.
 func Frozen(m any) (*Plan, error) {
 	p, err := For(m)

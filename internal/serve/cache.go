@@ -2,107 +2,6 @@ package serve
 
 import "sync"
 
-// CachePolicy selects the eviction discipline of the engine's memo caches.
-type CachePolicy int
-
-// The eviction policies. The zero value is LRU — under the skewed candidate
-// popularity of real top-K traffic, FIFO ages out the hottest static rows on
-// schedule no matter how often they hit, while LRU's touch-on-hit keeps them
-// resident (TestLruBeatsFifoOnSkewedTraffic pins the hit-rate gap). FIFO
-// remains available as the baseline.
-const (
-	CacheLRU CachePolicy = iota
-	CacheFIFO
-)
-
-// cache is the engine's bounded concurrent memo contract. Implementations
-// must be safe for concurrent use; a typed-nil implementation is the
-// always-missing cache, so callers never branch on "caching disabled".
-type cache[K comparable, V any] interface {
-	get(k K) (V, bool)
-	put(k K, v V)
-	len() int
-}
-
-// newCache builds a cache for the policy holding at most max entries, or the
-// always-missing cache when max <= 0.
-func newCache[K comparable, V any](policy CachePolicy, max int) cache[K, V] {
-	if max <= 0 {
-		return (*fifoCache[K, V])(nil)
-	}
-	if policy == CacheFIFO {
-		return newFifoCache[K, V](max)
-	}
-	return newLruCache[K, V](max)
-}
-
-// fifoCache is a bounded concurrent map with first-in-first-out eviction.
-// FIFO keeps Get lock-free of writes — a read takes only the shared lock —
-// but evicts strictly by insertion age, which under skewed traffic throws
-// away the hottest entries as readily as the coldest. A nil *fifoCache is a
-// valid, always-missing cache.
-type fifoCache[K comparable, V any] struct {
-	mu    sync.RWMutex
-	max   int
-	items map[K]V
-	ring  []K // insertion order; ring[head] is the oldest entry once full
-	head  int
-}
-
-// newFifoCache returns a cache holding at most max entries, or nil (the
-// always-missing cache) when max <= 0.
-func newFifoCache[K comparable, V any](max int) *fifoCache[K, V] {
-	if max <= 0 {
-		return nil
-	}
-	return &fifoCache[K, V]{max: max, items: make(map[K]V)}
-}
-
-// get returns the cached value for k, if any.
-func (c *fifoCache[K, V]) get(k K) (V, bool) {
-	if c == nil {
-		var zero V
-		return zero, false
-	}
-	c.mu.RLock()
-	v, ok := c.items[k]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-// put inserts k→v, evicting the oldest entry when the cache is full.
-// Re-inserting an existing key replaces its value without touching the
-// eviction order.
-func (c *fifoCache[K, V]) put(k K, v V) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[k]; ok {
-		c.items[k] = v
-		return
-	}
-	if len(c.items) >= c.max {
-		delete(c.items, c.ring[c.head])
-		c.ring[c.head] = k
-		c.head = (c.head + 1) % c.max
-	} else {
-		c.ring = append(c.ring, k)
-	}
-	c.items[k] = v
-}
-
-// len returns the number of cached entries.
-func (c *fifoCache[K, V]) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.items)
-}
-
 // lruEntry is one node of the lruCache's intrusive recency list.
 type lruEntry[K comparable, V any] struct {
 	key        K
@@ -113,11 +12,12 @@ type lruEntry[K comparable, V any] struct {
 // lruCache is a bounded concurrent map with least-recently-used eviction: a
 // hash map into an intrusive doubly-linked recency list whose front is the
 // most recently touched entry. Hits promote (touch-on-hit), so sustained
-// popularity keeps an entry resident regardless of its insertion age — the
-// property FIFO lacks under skewed top-K traffic. Reads mutate the recency
-// list, so every operation takes the exclusive lock; the list splice is a
-// handful of pointer writes, which profiles far below the forward-pass work
-// a miss would cost. A nil *lruCache is a valid, always-missing cache.
+// popularity keeps an entry resident regardless of its insertion age, which
+// is what skewed top-K traffic needs from the static-view memo. Reads mutate
+// the recency list, so every operation takes the exclusive lock; the list
+// splice is a handful of pointer writes, which profiles far below the
+// forward-pass work a miss would cost. A nil *lruCache is a valid,
+// always-missing cache, so callers never branch on "caching disabled".
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	max   int

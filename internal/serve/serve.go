@@ -14,6 +14,10 @@
 // to a per-instance Score on a fresh tape — the caches only memoise values
 // the monolithic pass would recompute, never approximate them.
 //
+// Every request is already a batch — one history against its candidates
+// (TopK, Recommend) or a caller's instance list (ScoreBatch) — so no request
+// is held back to be batched with others.
+//
 // Concurrency and hot-swap model: an Engine is safe for concurrent use.
 // Batches fan out over train.ParallelEach workers, each with its own Exec or
 // tape. The served weights live in an immutable generation snapshot — the
@@ -69,12 +73,7 @@ type Scorer interface {
 const (
 	DefaultStaticCacheSize = 1 << 16
 	DefaultDynCacheSize    = 4096
-	DefaultBatchSize       = 64
 )
-
-// DefaultMaxDelay bounds how long a single Score request waits for batch
-// companions before the accumulator flushes.
-const DefaultMaxDelay = 2 * time.Millisecond
 
 // Config parameterises an Engine. The zero value takes every default.
 type Config struct {
@@ -91,16 +90,6 @@ type Config struct {
 	// history and the 1×d dynamic-view vector), plus its key — the
 	// history's varints — and the cache's bookkeeping.
 	DynCacheSize int
-	// BatchSize is the accumulator flush threshold for single-instance
-	// Score requests. 0 means DefaultBatchSize; 1 disables accumulation
-	// (every Score runs immediately).
-	BatchSize int
-	// MaxDelay is the accumulator flush deadline; 0 means DefaultMaxDelay.
-	MaxDelay time.Duration
-	// CachePolicy selects the memo caches' eviction discipline; the zero
-	// value is CacheLRU (see cache.go for the rationale and CacheFIFO for
-	// the measured baseline).
-	CachePolicy CachePolicy
 	// Index, when non-nil, enables full-catalog retrieval: every published
 	// generation builds an ANN index over the served model's item
 	// embeddings (rebuilt on each Swap, so index and weights are always
@@ -118,12 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DynCacheSize == 0 {
 		c.DynCacheSize = DefaultDynCacheSize
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = DefaultMaxDelay
 	}
 	return c
 }
@@ -157,8 +140,8 @@ type generation struct {
 	// tier's swap-lag metric: how long new weights sit published before the
 	// first request observes them.
 	born    int64
-	statics cache[staticKey, *tensor.Matrix]
-	dyns    cache[string, *core.DynState]
+	statics *lruCache[staticKey, *tensor.Matrix]
+	dyns    *lruCache[string, *core.DynState]
 	// idx is the generation's catalog retrieval index, built from exactly
 	// these weights and stamped with this generation's id; nil when
 	// Config.Index is unset or the model cannot embed.
@@ -175,8 +158,6 @@ type generation struct {
 type Stats struct {
 	// Instances is the total number of instances scored.
 	Instances int64
-	// Flushes is how many accumulated micro-batches the Score path ran.
-	Flushes int64
 	// StaticHits/StaticMisses count static-view cache probes.
 	StaticHits, StaticMisses int64
 	// DynHits/DynMisses count dynamic-state cache probes (one per distinct
@@ -186,14 +167,12 @@ type Stats struct {
 	// populations.
 	StaticEntries, DynEntries int
 	// Generation identifies the currently serving snapshot; it increments
-	// on every Swap (and InvalidateCaches).
+	// on every Swap.
 	Generation uint64
 	// Engine is the scoring engine of the current generation: "compiled"
 	// when it serves through an execution plan, "tape" otherwise.
 	Engine string
-	// Swaps counts published generations since the engine was built — every
-	// Swap and every InvalidateCaches (which republishes the same model
-	// under a fresh snapshot).
+	// Swaps counts published generations since the engine was built.
 	Swaps int64
 
 	// Retrieval counters; all zero unless Config.Index is set.
@@ -221,8 +200,7 @@ type Stats struct {
 // Engine scores instances against an atomically swappable model snapshot
 // with pooled plan Execs (or tapes), cached partial forwards and
 // data-parallel fan-out. Create one with NewEngine and share it between
-// goroutines; Swap publishes new weights without blocking readers; Close
-// releases the accumulator timer.
+// goroutines; Swap publishes new weights without blocking readers.
 type Engine struct {
 	cfg Config
 
@@ -238,13 +216,7 @@ type Engine struct {
 	tapes    sync.Pool
 	tapeHint atomic.Int64 // max NumNodes seen; pre-sizes fresh tapes
 
-	mu      sync.Mutex
-	pending []pendingScore
-	timer   *time.Timer
-	closed  bool
-
 	instances    atomic.Int64
-	flushes      atomic.Int64
 	staticHits   atomic.Int64
 	staticMisses atomic.Int64
 	dynHits      atomic.Int64
@@ -284,11 +256,6 @@ type genSketch struct {
 // newest non-empty predecessor, the rest is debugging headroom.
 const sketchRingSize = 8
 
-type pendingScore struct {
-	inst feature.Instance
-	ch   chan float64
-}
-
 // NewEngine builds an engine serving m as generation 1. If m compiles into an
 // execution plan (SeqFM does), the cached dynamic/static path is used;
 // otherwise the engine still provides tape reuse and parallel fan-out.
@@ -304,8 +271,8 @@ func (e *Engine) newGeneration(m Scorer) *generation {
 	if pl, err := plan.Frozen(m); err == nil {
 		g.plan = pl
 	}
-	g.statics = newCache[staticKey, *tensor.Matrix](e.cfg.CachePolicy, e.cfg.StaticCacheSize)
-	g.dyns = newCache[string, *core.DynState](e.cfg.CachePolicy, e.cfg.DynCacheSize)
+	g.statics = newLruCache[staticKey, *tensor.Matrix](e.cfg.StaticCacheSize)
+	g.dyns = newLruCache[string, *core.DynState](e.cfg.DynCacheSize)
 	g.idx = e.buildIndex(m, g.id)
 	g.scores = &obs.ScoreSketch{}
 	return g
@@ -331,17 +298,7 @@ func (e *Engine) retireSketch(old *generation) {
 // swap see m with fresh caches. Concurrent publishers are serialised so the
 // highest generation id always wins. m's weights must be immutable from here
 // on — publish a clone if training continues (core.Model.Clone).
-func (e *Engine) Swap(m Scorer) uint64 {
-	start := time.Now()
-	e.swapMu.Lock()
-	g := e.newGeneration(m)
-	e.retireSketch(e.cur.Load())
-	e.cur.Store(g)
-	e.swapMu.Unlock()
-	e.swapHist.Record(time.Since(start))
-	e.swaps.Add(1)
-	return g.id
-}
+func (e *Engine) Swap(m Scorer) uint64 { return e.SwapAs(m, 0) }
 
 // SwapAs is Swap under an externally assigned generation id — the
 // replication path: a follower replaying its primary's publish markers
@@ -349,8 +306,8 @@ func (e *Engine) Swap(m Scorer) uint64 {
 // engines agree on which generation a response came from. id must exceed the
 // current generation to take effect (generation ids stay strictly monotonic,
 // which is what the RCU snapshot invariants and the cache stamps rely on);
-// otherwise the swap falls back to the next sequential id. Returns the id
-// actually installed.
+// otherwise — id 0 included — the swap takes the next sequential id. Returns
+// the id actually installed.
 func (e *Engine) SwapAs(m Scorer, id uint64) uint64 {
 	start := time.Now()
 	e.swapMu.Lock()
@@ -772,76 +729,11 @@ func (e *Engine) ScoreDrift() DriftStats {
 	return st
 }
 
-// Score scores one instance. Unless accumulation is disabled (BatchSize 1),
-// the request parks in the engine's batch accumulator until BatchSize
-// companions arrive or MaxDelay elapses, then the whole micro-batch is
-// scored in one parallel pass — the classic dynamic-batching trade of a
-// bounded latency hit for throughput under concurrent load.
-func (e *Engine) Score(inst feature.Instance) float64 {
-	if e.cfg.BatchSize <= 1 {
-		return e.ScoreBatch([]feature.Instance{inst})[0]
-	}
-	ch := make(chan float64, 1)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return e.ScoreBatch([]feature.Instance{inst})[0]
-	}
-	e.pending = append(e.pending, pendingScore{inst: inst, ch: ch})
-	if len(e.pending) >= e.cfg.BatchSize {
-		batch := e.takePendingLocked()
-		e.mu.Unlock()
-		e.runPending(batch)
-	} else {
-		if len(e.pending) == 1 {
-			e.timer = time.AfterFunc(e.cfg.MaxDelay, e.flushPending)
-		}
-		e.mu.Unlock()
-	}
-	return <-ch
-}
-
-// takePendingLocked detaches the accumulated batch; e.mu must be held.
-func (e *Engine) takePendingLocked() []pendingScore {
-	batch := e.pending
-	e.pending = nil
-	if e.timer != nil {
-		e.timer.Stop()
-		e.timer = nil
-	}
-	return batch
-}
-
-// flushPending is the accumulator's deadline path.
-func (e *Engine) flushPending() {
-	e.mu.Lock()
-	batch := e.takePendingLocked()
-	e.mu.Unlock()
-	e.runPending(batch)
-}
-
-// runPending scores an accumulated micro-batch and delivers the results.
-func (e *Engine) runPending(batch []pendingScore) {
-	if len(batch) == 0 {
-		return
-	}
-	e.flushes.Add(1)
-	insts := make([]feature.Instance, len(batch))
-	for i, p := range batch {
-		insts[i] = p.inst
-	}
-	scores := e.ScoreBatch(insts)
-	for i, p := range batch {
-		p.ch <- scores[i]
-	}
-}
-
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	g := e.cur.Load()
 	st := Stats{
 		Instances:      e.instances.Load(),
-		Flushes:        e.flushes.Load(),
 		StaticHits:     e.staticHits.Load(),
 		StaticMisses:   e.staticMisses.Load(),
 		DynHits:        e.dynHits.Load(),
@@ -870,26 +762,7 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// InvalidateCaches drops every memoised partial forward by publishing a new
-// generation over the same model. The model is re-read under the publisher
-// lock, so a concurrent Swap's freshly published weights are never reverted.
-// Call it after mutating the served model's weights in place; prefer Swap
-// with a clone, which keeps even in-flight requests consistent.
-func (e *Engine) InvalidateCaches() {
-	e.swapMu.Lock()
-	g := e.newGeneration(e.cur.Load().model)
-	e.cur.Store(g)
-	e.swapMu.Unlock()
-	e.swaps.Add(1)
-}
-
-// Close flushes any accumulated Score requests and stops the deadline
-// timer. The engine remains usable afterwards — subsequent Score calls
-// bypass the accumulator.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	e.closed = true
-	batch := e.takePendingLocked()
-	e.mu.Unlock()
-	e.runPending(batch)
-}
+// Close is a no-op kept for API stability: the engine holds no timers,
+// goroutines or files between calls, so there is nothing to release.
+// Scoring after Close works as before.
+func (e *Engine) Close() {}

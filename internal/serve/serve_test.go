@@ -161,72 +161,11 @@ func TestTopKAttrOf(t *testing.T) {
 	}
 }
 
-func TestScoreAccumulatorBatchesConcurrentRequests(t *testing.T) {
-	m := testModel(t)
-	e := NewEngine(m, Config{BatchSize: 8, MaxDelay: 50 * time.Millisecond})
-	defer e.Close()
-	insts := testInstances(32, 3)
-	got := make([]float64, len(insts))
-	var wg sync.WaitGroup
-	for i := range insts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = e.Score(insts[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, inst := range insts {
-		if want := refScore(m, inst); got[i] != want {
-			t.Fatalf("inst %d: accumulated Score=%v, want %v", i, got[i], want)
-		}
-	}
-	s := e.Stats()
-	if s.Flushes == 0 {
-		t.Error("no accumulator flushes recorded")
-	}
-	if s.Flushes >= int64(len(insts)) {
-		t.Errorf("accumulator never batched: %d flushes for %d requests", s.Flushes, len(insts))
-	}
-}
-
-func TestScoreDeadlineFlush(t *testing.T) {
-	m := testModel(t)
-	// BatchSize far above the request count: only the MaxDelay timer can
-	// release the single request.
-	e := NewEngine(m, Config{BatchSize: 1024, MaxDelay: 5 * time.Millisecond})
-	defer e.Close()
-	inst := testInstances(1, 4)[0]
-	done := make(chan float64, 1)
-	go func() { done <- e.Score(inst) }()
-	select {
-	case got := <-done:
-		if want := refScore(m, inst); got != want {
-			t.Fatalf("Score=%v, want %v", got, want)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("deadline flush never fired")
-	}
-}
-
-func TestScoreUnbatchedMode(t *testing.T) {
-	m := testModel(t)
-	e := NewEngine(m, Config{BatchSize: 1})
-	defer e.Close()
-	inst := testInstances(1, 5)[0]
-	if got, want := e.Score(inst), refScore(m, inst); got != want {
-		t.Fatalf("unbatched Score=%v, want %v", got, want)
-	}
-	if s := e.Stats(); s.Flushes != 0 {
-		t.Errorf("unbatched mode used the accumulator: %+v", s)
-	}
-}
-
 func TestConcurrentMixedTraffic(t *testing.T) {
 	// Race-detector workout: batches, top-K and singles in flight at once,
 	// all hitting the shared caches and tape pool.
 	m := testModel(t)
-	e := NewEngine(m, Config{Workers: 4, BatchSize: 4, MaxDelay: time.Millisecond})
+	e := NewEngine(m, Config{Workers: 4})
 	defer e.Close()
 	insts := testInstances(24, 6)
 	want := make([]float64, len(insts))
@@ -254,7 +193,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 					e.TopK(TopKRequest{Base: base, Candidates: candidates, K: 3})
 				default:
 					i := (g * 5) % len(insts)
-					if got := e.Score(insts[i]); got != want[i] {
+					if got := e.ScoreBatch(insts[i : i+1])[0]; got != want[i] {
 						t.Errorf("single inst %d: %v != %v", i, got, want[i])
 						return
 					}
@@ -263,34 +202,6 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestInvalidateCachesAfterWeightUpdate(t *testing.T) {
-	m := testModel(t)
-	e := NewEngine(m, Config{})
-	defer e.Close()
-	insts := testInstances(8, 7)
-	e.ScoreBatch(insts)
-	if s := e.Stats(); s.StaticEntries == 0 || s.DynEntries == 0 {
-		t.Fatalf("caches empty after a batch: %+v", s)
-	}
-	// Perturb every weight in place: the cached vectors, and every projected
-	// embedding row the generation's frozen plan has tabled, are now stale.
-	for _, p := range m.Params() {
-		for j := range p.Value.Data {
-			p.Value.Data[j] += 0.01 * float64(1+j%5)
-		}
-	}
-	e.InvalidateCaches()
-	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 {
-		t.Fatalf("InvalidateCaches left entries: %+v", s)
-	}
-	got := e.ScoreBatch(insts)
-	for i, inst := range insts {
-		if want := refScore(m, inst); got[i] != want {
-			t.Fatalf("inst %d after invalidate: %v != %v", i, got[i], want)
-		}
-	}
 }
 
 func TestCachesDisabled(t *testing.T) {
@@ -311,62 +222,9 @@ func TestCachesDisabled(t *testing.T) {
 	}
 }
 
-func TestCloseFlushesAndStaysUsable(t *testing.T) {
-	m := testModel(t)
-	e := NewEngine(m, Config{BatchSize: 1024, MaxDelay: time.Hour})
-	inst := testInstances(1, 9)[0]
-	done := make(chan float64, 1)
-	go func() { done <- e.Score(inst) }()
-	// Wait until the request is parked in the accumulator.
-	for i := 0; ; i++ {
-		e.mu.Lock()
-		n := len(e.pending)
-		e.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("request never reached the accumulator")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	e.Close()
-	if got, want := <-done, refScore(m, inst); got != want {
-		t.Fatalf("flushed-on-close Score=%v, want %v", got, want)
-	}
-	// Post-Close traffic bypasses the accumulator but still works.
-	if got, want := e.Score(inst), refScore(m, inst); got != want {
-		t.Fatalf("post-Close Score=%v, want %v", got, want)
-	}
-}
-
-func TestFifoCacheEviction(t *testing.T) {
-	c := newFifoCache[int, int](2)
-	c.put(1, 10)
-	c.put(2, 20)
-	c.put(3, 30) // evicts 1
-	if _, ok := c.get(1); ok {
-		t.Error("oldest entry not evicted")
-	}
-	if v, ok := c.get(2); !ok || v != 20 {
-		t.Error("entry 2 lost")
-	}
-	if v, ok := c.get(3); !ok || v != 30 {
-		t.Error("entry 3 missing")
-	}
-	c.put(4, 40) // evicts 2
-	if _, ok := c.get(2); ok {
-		t.Error("entry 2 should be evicted second")
-	}
-	if c.len() != 2 {
-		t.Errorf("len=%d, want 2", c.len())
-	}
-}
-
 func TestNilCachesAreMissing(t *testing.T) {
-	var f *fifoCache[int, int]
 	var l *lruCache[int, int]
-	for _, c := range []cache[int, int]{f, l, newCache[int, int](CacheLRU, -1)} {
+	for _, c := range []*lruCache[int, int]{l, newLruCache[int, int](-1)} {
 		if _, ok := c.get(1); ok {
 			t.Error("nil cache returned a hit")
 		}
@@ -402,34 +260,6 @@ func TestLruCacheTouchOnHitKeepsHotEntries(t *testing.T) {
 	}
 }
 
-// TestLruBeatsFifoOnSkewedTraffic pins the satellite claim behind the LRU
-// upgrade: under a skewed reference stream with a working set larger than
-// the cache, touch-on-hit retains the hot keys that FIFO ages out.
-func TestLruBeatsFifoOnSkewedTraffic(t *testing.T) {
-	const capacity, universe, rounds = 8, 64, 400
-	hits := func(c cache[int, int]) int {
-		h := 0
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < rounds; i++ {
-			// 4 hot keys touched every round; a marching cold key stream.
-			keys := []int{0, 1, 2, 3, 8 + (i % (universe - 8)), 8 + ((i * 7) % (universe - 8)), rng.Intn(universe)}
-			for _, k := range keys {
-				if _, ok := c.get(k); ok {
-					h++
-				} else {
-					c.put(k, k)
-				}
-			}
-		}
-		return h
-	}
-	lru := hits(newLruCache[int, int](capacity))
-	fifo := hits(newFifoCache[int, int](capacity))
-	if lru <= fifo {
-		t.Errorf("LRU hits %d not above FIFO hits %d on skewed traffic", lru, fifo)
-	}
-}
-
 // perturb nudges the global bias w0 (Params()[0]) so successive generations
 // score every instance differently.
 func perturb(m *core.Model, step int) {
@@ -444,7 +274,7 @@ func TestSwapPublishesNewWeights(t *testing.T) {
 		t.Fatalf("fresh engine at generation %d", e.Generation())
 	}
 	inst := testInstances(1, 10)[0]
-	before := e.Score(inst)
+	before := e.ScoreBatch([]feature.Instance{inst})[0]
 
 	m2 := m.Clone()
 	perturb(m2, 0)
@@ -452,7 +282,7 @@ func TestSwapPublishesNewWeights(t *testing.T) {
 	if gen != 2 || e.Generation() != 2 {
 		t.Fatalf("generation after swap: %d/%d", gen, e.Generation())
 	}
-	after := e.Score(inst)
+	after := e.ScoreBatch([]feature.Instance{inst})[0]
 	if want := refScore(m2, inst); after != want {
 		t.Fatalf("post-swap score %v, want %v", after, want)
 	}
@@ -478,8 +308,15 @@ func TestSwapDropsCachesPerGeneration(t *testing.T) {
 	if s := e.Stats(); s.StaticEntries == 0 || s.DynEntries == 0 {
 		t.Fatalf("caches empty after a batch: %+v", s)
 	}
+	// Perturb every weight of the clone, not just w0: the new generation's
+	// frozen plan must table its own projected embedding rows, and nothing
+	// the old generation memoised or tabled may serve it.
 	m2 := m.Clone()
-	perturb(m2, 1)
+	for _, p := range m2.Params() {
+		for j := range p.Value.Data {
+			p.Value.Data[j] += 0.01 * float64(1+j%5)
+		}
+	}
 	e.Swap(m2)
 	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 {
 		t.Fatalf("swap leaked cache entries into the new generation: %+v", s)
@@ -599,7 +436,7 @@ func TestSwapAsAlignsGenerationIds(t *testing.T) {
 		t.Fatalf("Swap after SwapAs installed %d, want 20", got)
 	}
 	inst := testInstances(1, 99)[0]
-	if got, want := eng.Score(inst), refScore(m, inst); got != want {
+	if got, want := eng.ScoreBatch([]feature.Instance{inst})[0], refScore(m, inst); got != want {
 		t.Fatalf("served %v != fresh-tape %v after SwapAs chain", got, want)
 	}
 }
