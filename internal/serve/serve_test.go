@@ -204,6 +204,46 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	wg.Wait()
 }
 
+// TestInvalidateCachesAfterWeightUpdate: a weight update reaches serving by
+// publishing a retrained clone, and that one publish path both drops the old
+// generation's caches and does the bookkeeping every publish owes — the
+// swap is timed and the outgoing score sketch is retired for drift.
+func TestInvalidateCachesAfterWeightUpdate(t *testing.T) {
+	m := testModel(t)
+	e := NewEngine(m, Config{})
+	defer e.Close()
+	insts := testInstances(8, 7)
+	rank := TopKRequest{Base: insts[0], Candidates: []int{0, 3, 5, 9}, K: 2}
+	e.ScoreBatch(insts)
+	e.TopK(rank)
+	if s := e.Stats(); s.StaticEntries == 0 || s.DynEntries == 0 {
+		t.Fatalf("caches empty after a batch: %+v", s)
+	}
+	m2 := m.Clone()
+	for _, p := range m2.Params() {
+		for j := range p.Value.Data {
+			p.Value.Data[j] += 0.01 * float64(1+j%5)
+		}
+	}
+	gen := e.Swap(m2)
+	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 {
+		t.Fatalf("weight update left cache entries: %+v", s)
+	}
+	if n := e.SwapLatency().Count(); n != 1 {
+		t.Fatalf("swap histogram holds %d publishes, want 1", n)
+	}
+	got := e.ScoreBatch(insts)
+	for i, inst := range insts {
+		if want := refScore(m2, inst); got[i] != want {
+			t.Fatalf("inst %d after weight update: %v != %v", i, got[i], want)
+		}
+	}
+	e.TopK(rank)
+	if d := e.ScoreDrift(); !d.Known || d.CurrentGen != gen || d.PrevGen != gen-1 {
+		t.Fatalf("outgoing generation's sketch not retired: %+v", d)
+	}
+}
+
 func TestCachesDisabled(t *testing.T) {
 	m := testModel(t)
 	e := NewEngine(m, Config{StaticCacheSize: -1, DynCacheSize: -1})
