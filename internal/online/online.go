@@ -999,8 +999,9 @@ func (l *Learner) syncRound() (events int, loss float64, marker uint64) {
 
 // noteLogFault records the first marker the log refused (or failed to
 // commit). From then on the log no longer reproduces this learner — replay
-// and followers would miss a publish or a drop — so Ingest and Checkpoint
-// return the fault instead of acknowledging work the log cannot back.
+// and followers would miss a step, a publish or a drop — so Ingest and
+// Checkpoint return the fault instead of acknowledging work the log cannot
+// back.
 func (l *Learner) noteLogFault(err error) {
 	l.logFault.CompareAndSwap(nil, &err)
 }
@@ -1042,7 +1043,10 @@ func (l *Learner) stepBatch(batch []pendingEvent) float64 {
 		// a position that depends on it). The TS stamp is lag accounting
 		// only — followers subtract it from each event's ingest stamp, both
 		// primary clocks.
-		if pos, err := wlog.AppendRecord(wal.Record{Type: wal.RecStep, Through: batch[len(batch)-1].seq, TS: stepTS}); err == nil {
+		pos, err := wlog.AppendRecord(wal.Record{Type: wal.RecStep, Through: batch[len(batch)-1].seq, TS: stepTS})
+		if err != nil {
+			l.noteLogFault(fmt.Errorf("online: wal step marker: %w", err))
+		} else {
 			l.appliedPos = pos
 			l.appliedSeq.Store(pos.Seq)
 		}

@@ -561,10 +561,12 @@ func TestIngestBatchMatchesSequentialIngest(t *testing.T) {
 	}
 }
 
-// TestLostMarkerIsALogFault: a publish (or drop) marker the log refuses is not
-// discarded. The log can no longer reproduce the learner, so the learner
-// stops acknowledging: Ingest and Checkpoint return the fault, naming the
-// marker that was lost. Sync itself must not hang on the dead log.
+// TestLostMarkerIsALogFault: a step, publish or drop marker the log refuses
+// is not discarded. The log can no longer reproduce the learner, so the
+// learner stops acknowledging: Ingest and Checkpoint return the fault, naming
+// the first marker that was lost — here the step marker, which a closed log
+// refuses before the publish marker. Sync itself must not hang on the dead
+// log.
 func TestLostMarkerIsALogFault(t *testing.T) {
 	ds := testDataset(t)
 	log, err := wal.Open(filepath.Join(t.TempDir(), "wal"), walOpts())
@@ -585,15 +587,15 @@ func TestLostMarkerIsALogFault(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := l.Sync(); n != 1 { // trains and publishes; the marker append fails
+	if n, _ := l.Sync(); n != 1 { // trains and publishes; both marker appends fail
 		t.Fatalf("Sync trained %d events, want 1", n)
 	}
 	for what, err := range map[string]error{
 		"Ingest":     l.Ingest(1, 3, 1),
 		"Checkpoint": l.Checkpoint(&bytes.Buffer{}),
 	} {
-		if err == nil || !strings.Contains(err.Error(), "publish marker") {
-			t.Errorf("%s after a lost publish marker: %v, want the log fault", what, err)
+		if err == nil || !strings.Contains(err.Error(), "step marker") {
+			t.Errorf("%s after a lost step marker: %v, want the log fault", what, err)
 		}
 	}
 }

@@ -22,6 +22,10 @@ type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	max   int
 	items map[K]*lruEntry[K, V]
+	// seen is admit's doorkeeper: keys that missed once and are not cached
+	// yet. It holds at most max keys and is cleared when full; put never
+	// reads it, and it stays nil in a cache only fed through put.
+	seen map[K]struct{}
 	// head/tail are sentinels: head.next is the most recent entry, tail.prev
 	// the eviction candidate.
 	head, tail lruEntry[K, V]
@@ -82,6 +86,37 @@ func (c *lruCache[K, V]) put(k K, v V) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(k, v)
+}
+
+// admit is put behind a doorkeeper, after TinyLFU's (Einziger et al., 2017):
+// a key's first miss only records it in seen, and its second inserts k→v as
+// put does. Traffic that never asks for a key twice, such as a stream of new
+// users, leaves the cache empty and costs only the keys in seen; a key asked
+// for again enters on its second miss and hits from then on.
+func (c *lruCache[K, V]) admit(k K, v V) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, cached := c.items[k]; !cached {
+		if _, again := c.seen[k]; !again {
+			if c.seen == nil {
+				c.seen = make(map[K]struct{})
+			} else if len(c.seen) >= c.max {
+				clear(c.seen)
+			}
+			c.seen[k] = struct{}{}
+			return
+		}
+		delete(c.seen, k)
+	}
+	c.putLocked(k, v)
+}
+
+// putLocked is put's body; c.mu must be held.
+func (c *lruCache[K, V]) putLocked(k K, v V) {
 	if e, ok := c.items[k]; ok {
 		e.value = v
 		c.unlink(e)

@@ -6,7 +6,10 @@
 // the same history, and memoises static-view vectors per (user, candidate,
 // attrs) so repeated top-K traffic only pays for the cross view — the
 // deployment shape of sequence-aware recommenders, where a model scores a few
-// hundred candidate objects per request under a latency budget.
+// hundred candidate objects per request under a latency budget. A view
+// enters that memo on its second miss; the first only records its key. A
+// stream of users each seen once never repeats a key, so it leaves the memo
+// empty instead of filling it with views nobody asks for again.
 //
 // The engine is model-agnostic: a model with no compilable spec (the
 // baseline zoo) is scored with a plain Score per instance on pooled,
@@ -82,7 +85,10 @@ type Config struct {
 	Workers int
 	// StaticCacheSize bounds the static-view memo (entries keyed by user,
 	// candidate and attrs). 0 means DefaultStaticCacheSize; negative
-	// disables the cache.
+	// disables the cache. A view is admitted on its second miss: the first
+	// records its key in a seen-set of at most StaticCacheSize keys, cleared
+	// when full. The set holds no pointers; at the default size it peaks at
+	// about 6.3 MB (the heap of a Go 1.24 map of 65,536 such keys).
 	StaticCacheSize int
 	// DynCacheSize bounds the dynamic-state memo (entries keyed by
 	// history). 0 means DefaultDynCacheSize; negative disables the cache.
@@ -499,7 +505,8 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 	dyns := e.dynStates(g, insts)
 	// The static-view cache is probed and fed here, around the fan-out and
 	// not inside it: the workers take no lock and count nothing, and a batch
-	// costs the shared counters two adds.
+	// costs the shared counters two adds. A miss's view is admitted on the
+	// key's second miss (lruCache.admit).
 	views := make([]*tensor.Matrix, len(insts))
 	var misses []int
 	for i, inst := range insts {
@@ -515,7 +522,7 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 	})
 	for _, i := range misses {
 		if views[i] != nil {
-			g.statics.put(staticKeyOf(insts[i]), views[i])
+			g.statics.admit(staticKeyOf(insts[i]), views[i])
 		}
 	}
 	return out

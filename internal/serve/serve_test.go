@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -249,16 +250,21 @@ func TestCachesDisabled(t *testing.T) {
 	e := NewEngine(m, Config{StaticCacheSize: -1, DynCacheSize: -1})
 	defer e.Close()
 	insts := testInstances(8, 8)
-	for pass := 0; pass < 2; pass++ {
+	// Three passes: an enabled memo would have admitted every view by the
+	// second and served it on the third.
+	for pass := 0; pass < 3; pass++ {
 		got := e.ScoreBatch(insts)
 		for i, inst := range insts {
-			if want := refScore(m, inst); got[i] != want {
+			if want := refScore(m, inst); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("pass %d inst %d: %v != %v", pass, i, got[i], want)
 			}
 		}
 	}
-	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 || s.StaticHits != 0 {
+	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 || s.StaticHits != 0 || s.StaticMisses != 3*8 {
 		t.Errorf("disabled caches stored entries: %+v", s)
+	}
+	if e.cur.Load().statics != nil {
+		t.Error("a negative StaticCacheSize built a static-view memo")
 	}
 }
 
@@ -269,9 +275,48 @@ func TestNilCachesAreMissing(t *testing.T) {
 			t.Error("nil cache returned a hit")
 		}
 		c.put(1, 1) // must not panic
+		c.admit(2, 2)
+		c.admit(2, 2)
 		if c.len() != 0 {
 			t.Error("nil cache has entries")
 		}
+	}
+}
+
+// TestLruCacheAdmitOnSecondMiss pins the doorkeeper: a key enters on its
+// second admit, seen never holds more than max keys, and a full seen-set is
+// cleared, forgetting the keys that had missed once.
+func TestLruCacheAdmitOnSecondMiss(t *testing.T) {
+	c := newLruCache[int, int](3)
+	c.admit(1, 10)
+	if _, ok := c.get(1); ok || c.len() != 0 || len(c.seen) != 1 {
+		t.Fatalf("first miss was cached: len=%d seen=%d", c.len(), len(c.seen))
+	}
+	c.admit(1, 10)
+	if v, ok := c.get(1); !ok || v != 10 || len(c.seen) != 0 {
+		t.Fatalf("second miss not admitted (hit=%v v=%d) or still in seen (%d)", ok, v, len(c.seen))
+	}
+	c.admit(1, 11) // cached already: replaces, as put does
+	if v, _ := c.get(1); v != 11 || len(c.seen) != 0 {
+		t.Fatalf("re-admit of a cached key: v=%d seen=%d", v, len(c.seen))
+	}
+	for k := 2; k <= 4; k++ {
+		c.admit(k, k)
+	}
+	if len(c.seen) != 3 || c.len() != 1 {
+		t.Fatalf("three first misses: seen=%d len=%d, want 3 and 1", len(c.seen), c.len())
+	}
+	c.admit(5, 5) // seen is full: cleared, then 5 recorded
+	if len(c.seen) != 1 {
+		t.Fatalf("full seen-set not cleared: %d keys", len(c.seen))
+	}
+	c.admit(2, 2) // forgotten by the clear: a first miss again
+	if _, ok := c.get(2); ok {
+		t.Fatal("a key the clear forgot was admitted on one more miss")
+	}
+	c.admit(5, 5)
+	if _, ok := c.get(5); !ok {
+		t.Fatal("a key seen since the clear was not admitted")
 	}
 }
 
@@ -344,9 +389,11 @@ func TestSwapDropsCachesPerGeneration(t *testing.T) {
 	e := NewEngine(m, Config{})
 	defer e.Close()
 	insts := testInstances(8, 11)
+	// Twice: the static-view memo admits a view on its second miss.
 	e.ScoreBatch(insts)
-	if s := e.Stats(); s.StaticEntries == 0 || s.DynEntries == 0 {
-		t.Fatalf("caches empty after a batch: %+v", s)
+	e.ScoreBatch(insts)
+	if s := e.Stats(); s.StaticEntries != distinctStaticKeys(insts) || s.DynEntries == 0 {
+		t.Fatalf("caches not warm after two batches: %+v", s)
 	}
 	// Perturb every weight of the clone, not just w0: the new generation's
 	// frozen plan must table its own projected embedding rows, and nothing
@@ -367,6 +414,139 @@ func TestSwapDropsCachesPerGeneration(t *testing.T) {
 			t.Fatalf("inst %d served stale generation: %v != %v", i, got[i], want)
 		}
 	}
+}
+
+// distinctStaticKeys counts the static-view keys among insts.
+func distinctStaticKeys(insts []feature.Instance) int {
+	keys := make(map[staticKey]struct{}, len(insts))
+	for _, inst := range insts {
+		keys[staticKeyOf(inst)] = struct{}{}
+	}
+	return len(keys)
+}
+
+// topKBitExact ranks cands for base and fails unless every served score is
+// the fresh-tape one, bit for bit.
+func topKBitExact(t *testing.T, e *Engine, m Scorer, base feature.Instance, cands []int) {
+	t.Helper()
+	items := e.TopK(TopKRequest{Base: base, Candidates: cands})
+	if len(items) != len(cands) {
+		t.Fatalf("user %d: %d items for %d candidates", base.User, len(items), len(cands))
+	}
+	for _, it := range items {
+		inst := base
+		inst.Target = it.Object
+		if want := refScore(m, inst); math.Float64bits(it.Score) != math.Float64bits(want) {
+			t.Fatalf("user %d object %d: served %v, fresh tape %v", base.User, it.Object, it.Score, want)
+		}
+	}
+}
+
+func allObjects() []int {
+	cands := make([]int, 30)
+	for i := range cands {
+		cands[i] = i
+	}
+	return cands
+}
+
+// TestStaticMemoSkipsOneShotUsers: a stream of users each seen once — the
+// cold-start shape — never repeats a static-view key, so the memo stays
+// empty and every probe misses.
+func TestStaticMemoSkipsOneShotUsers(t *testing.T) {
+	m := testModel(t)
+	e := NewEngine(m, Config{Workers: 2})
+	defer e.Close()
+	cands := allObjects()
+	for u := 0; u < 12; u++ {
+		topKBitExact(t, e, m, feature.Instance{User: u, Hist: []int{u, 2 * u}, UserAttr: feature.Pad, TargetAttr: feature.Pad}, cands)
+	}
+	if st := e.Stats(); st.StaticEntries != 0 || st.StaticHits != 0 || st.StaticMisses != 12*30 {
+		t.Fatalf("one-shot users: %d entries, %d hits, %d misses; want 0, 0, %d", st.StaticEntries, st.StaticHits, st.StaticMisses, 12*30)
+	}
+}
+
+// TestStaticMemoRepeatedContextsMissTwice: a context asked for again misses
+// exactly twice per key, then hits on every later request.
+func TestStaticMemoRepeatedContextsMissTwice(t *testing.T) {
+	m := testModel(t)
+	e := NewEngine(m, Config{Workers: 2})
+	defer e.Close()
+	cands := allObjects()
+	bases := []feature.Instance{
+		{User: 2, Hist: []int{4, 9}, UserAttr: feature.Pad, TargetAttr: feature.Pad},
+		{User: 5, Hist: []int{1, 1, 7}, UserAttr: feature.Pad, TargetAttr: feature.Pad},
+	}
+	for pass := 1; pass <= 4; pass++ {
+		for _, b := range bases {
+			topKBitExact(t, e, m, b, cands)
+		}
+		misses := min(pass, 2) * len(bases) * len(cands)
+		entries := 0
+		if pass >= 2 {
+			entries = len(bases) * len(cands)
+		}
+		if st := e.Stats(); st.StaticMisses != int64(misses) || st.StaticHits != int64(pass*len(bases)*len(cands)-misses) || st.StaticEntries != entries {
+			t.Fatalf("pass %d: %d misses, %d hits, %d entries; want %d misses, %d entries", pass, st.StaticMisses, st.StaticHits, st.StaticEntries, misses, entries)
+		}
+	}
+}
+
+// TestStaticSeenSetBounded: the seen-set holds at most StaticCacheSize keys
+// however many one-shot keys stream through, and is cleared when full.
+func TestStaticSeenSetBounded(t *testing.T) {
+	m := testModel(t)
+	const size = 16
+	e := NewEngine(m, Config{Workers: 2, StaticCacheSize: size})
+	defer e.Close()
+	cands := allObjects()[:7] // 7 keys a request: the seen-set fills mid-batch
+	cleared := false
+	prev := 0
+	for u := 0; u < 12; u++ {
+		topKBitExact(t, e, m, feature.Instance{User: u, UserAttr: feature.Pad, TargetAttr: feature.Pad}, cands)
+		n := len(e.cur.Load().statics.seen)
+		if n > size {
+			t.Fatalf("user %d: seen-set holds %d keys, bound %d", u, n, size)
+		}
+		cleared = cleared || n < prev
+		prev = n
+	}
+	if !cleared {
+		t.Fatal("the seen-set never cleared")
+	}
+	if st := e.Stats(); st.StaticEntries != 0 {
+		t.Fatalf("one-shot keys entered the memo: %d entries", st.StaticEntries)
+	}
+}
+
+// TestSwapDropsStaticSeenSet: the seen-set is part of the generation, so a
+// key's first miss under the old weights does not count towards admission
+// under the new ones.
+func TestSwapDropsStaticSeenSet(t *testing.T) {
+	m := testModel(t)
+	e := NewEngine(m, Config{Workers: 2})
+	defer e.Close()
+	base := feature.Instance{User: 4, Hist: []int{3, 8}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
+	cands := allObjects()
+	topKBitExact(t, e, m, base, cands)
+	if n := len(e.cur.Load().statics.seen); n != len(cands) {
+		t.Fatalf("seen-set holds %d keys after one request, want %d", n, len(cands))
+	}
+	m2 := m.Clone()
+	perturb(m2, 0)
+	e.Swap(m2)
+	if n := len(e.cur.Load().statics.seen); n != 0 {
+		t.Fatalf("swap kept %d seen keys", n)
+	}
+	topKBitExact(t, e, m2, base, cands)
+	if st := e.Stats(); st.StaticEntries != 0 {
+		t.Fatalf("a first miss under the new generation was admitted: %d entries", st.StaticEntries)
+	}
+	topKBitExact(t, e, m2, base, cands)
+	if st := e.Stats(); st.StaticEntries != len(cands) {
+		t.Fatalf("second miss under the new generation: %d entries, want %d", st.StaticEntries, len(cands))
+	}
+	topKBitExact(t, e, m2, base, cands)
 }
 
 // TestHotSwapUnderLoadBitIdentical is the serving half of the hot-swap
